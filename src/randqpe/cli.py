@@ -153,8 +153,7 @@ def _cmd_resource_curve(args) -> int:
     eps_list = [float(v) for v in args.eps.split(",") if v]
     for eps in eps_list:
         points = resources.tradeoff_curve(args.lam, args.Delta, args.eta, [eps],
-                                          b=args.b, n_grid=args.ngrid,
-                                          threads=args.threads)
+                                          b=args.b, n_grid=args.ngrid)
         comments = [f"lambda = {args.lam!r} Delta = {args.Delta!r} "
                     f"eta = {args.eta!r} eps = {eps!r} b = {args.b!r}"]
         text = "\n".join(resources.curve_csv_lines(points, comments)) + "\n"
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="comma-separated eps values")
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--ngrid", type=int, default=40)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_resource_curve)
     return ap
@@ -244,7 +242,7 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError, AssertionError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"error (numeric): {exc}", file=sys.stderr)
         return 3
 

@@ -133,10 +133,15 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     randomly compiled unitary for exp(i H t_j / lambda), then the test outcome.
 
     The segment draws follow the LCU sampler's distribution exactly
-    (truncated even orders, i.i.d. Pauli indices) but are evaluated in a
-    vectorized batch: all live records advance one segment per step, so
-    the run cost is sum_i r_i state updates instead of a Python loop per
-    record.  The record stream is deterministic for a fixed seed.
+    (truncated even orders, i.i.d. Pauli indices), evaluated in a batch: all
+    live records advance one segment per step, sum_i r_i state updates in
+    all.  Records are sorted by descending r_i, so the live records form a
+    prefix whose width m is constant over runs of steps, one run per distinct
+    r_i.  A step draws 2m uniforms (orders, then rotation terms), applies the
+    order-0 rotation to the whole prefix in place and redoes the rare
+    higher-order rows from pre-step copies.  For a fixed seed the record
+    stream is byte-identical across runs and releases (tests pin its
+    digest); a change to it must be stated.
     """
     if plan.h.width != state.width:
         raise ValueError("plan and state widths differ")
@@ -151,23 +156,18 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
 
     # per-term index action tables
     dist = plan.h.normalized_distribution()
-    p_term = np.array([p for p, _ in dist])
-    cum_term = np.cumsum(p_term)
+    cum_term = np.cumsum([p for p, _ in dist])
     cum_term[-1] = 1.0
     g_tab = np.empty((len(dist), dim), dtype=np.int64)
     f_tab = np.empty((len(dist), dim), dtype=complex)
     for i, (_, op) in enumerate(dist):
-        perm, phase = index_action(op)
-        g_tab[i] = perm
-        f_tab[i] = phase
+        g_tab[i], f_tab[i] = index_action(op)
 
     # per-group segment tables (orders share the truncation M)
-    n_groups = len(plan.js)
     segs = [segment_distribution(float(t), int(r), plan.M)
             for t, r in zip(plan.times, plan.rvec)]
     n_orders = len(segs[0].orders)
-    q_cum = np.empty((n_groups, n_orders))
-    thetas = np.empty((n_groups, n_orders))
+    q_cum, thetas = np.empty((2, len(segs), n_orders))
     for i, s in enumerate(segs):
         q_cum[i] = np.cumsum(s.probs)
         thetas[i] = s.thetas
@@ -187,35 +187,42 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     psi = np.tile(psi0, (n_rec, 1))
     cos0 = np.cos(thetas[gid_s, 0])
     isin0 = 1j * np.sin(thetas[gid_s, 0]) * rot_sign
-    max_r = int(r_s[0]) if n_rec else 0
-    row_idx = np.arange(n_rec)
-    for k in range(max_r):
-        m_act = int(np.searchsorted(-r_s, -(k + 1), side="right"))
-        if m_act == 0:
-            break
-        u_n = rng.random(m_act)
-        n_idx = n_orders - 1 - (u_n[:, None] <= q_cum[gid_s[:m_act], :-1]).sum(axis=1)
-        ells = np.searchsorted(cum_term, rng.random(m_act), side="right")
-        fast = n_idx == 0
-        rows = row_idx[:m_act][fast]
-        if rows.size:
-            el = ells[fast]
-            gathered = np.take_along_axis(psi[rows], g_tab[el], axis=1)
-            psi[rows] = (cos0[rows, None] * psi[rows]
-                         + isin0[rows, None] * (f_tab[el] * gathered))
-        for row in row_idx[:m_act][~fast]:
-            ni = int(n_idx[row])
-            n = int(orders[ni])
-            th = float(thetas[gid_s[row], ni]) * rot_sign[row]
-            el0 = int(ells[row])
-            vec = (math.cos(th) * psi[row]
-                   + (1j * math.sin(th)) * (f_tab[el0] * psi[row][g_tab[el0]]))
-            extra = np.searchsorted(cum_term, rng.random(n), side="right")
-            for el in extra:
-                vec = f_tab[el] * vec[g_tab[el]]
-            if n % 4 != 0:
-                vec = -vec
-            psi[row] = vec
+    q0 = q_cum[gid_s, 0]  # u <= q0: order 0 (cumulative columns are sorted)
+    flat, row_base = psi.reshape(-1), (np.arange(n_rec) * dim)[:, None]
+    idx_buf = np.empty((n_rec, dim), dtype=np.int64)
+    phase_buf, gath_buf = np.empty((2, n_rec, dim), dtype=complex)
+    done = 0
+    for r_end in np.unique(r_s):  # ascending; the live prefix shrinks after each
+        m = int(np.searchsorted(-r_s, -r_end, side="right"))
+        live, idx, phase, gath = psi[:m], idx_buf[:m], phase_buf[:m], gath_buf[:m]
+        cos_m, isin_m, q0_m, base = cos0[:m, None], isin0[:m, None], q0[:m], row_base[:m]
+        for _ in range(done, r_end):
+            u = rng.random(2 * m)
+            ells = np.searchsorted(cum_term, u[m:], side="right")
+            hi = np.flatnonzero(u[:m] > q0_m)
+            old = [live[row].copy() for row in hi]
+            np.take(g_tab, ells, axis=0, out=idx, mode="clip")
+            idx += base
+            np.take(flat, idx, out=gath, mode="clip")
+            np.take(f_tab, ells, axis=0, out=phase, mode="clip")
+            np.multiply(phase, gath, out=gath)
+            np.multiply(isin_m, gath, out=gath)
+            np.multiply(cos_m, live, out=live)
+            np.add(live, gath, out=live)
+            for row, prev in zip(hi, old):
+                ni = n_orders - 1 - int((u[row] <= q_cum[gid_s[row], :-1]).sum())
+                n = int(orders[ni])
+                th = float(thetas[gid_s[row], ni]) * rot_sign[row]
+                el0 = int(ells[row])
+                vec = (math.cos(th) * prev
+                       + (1j * math.sin(th)) * (f_tab[el0] * prev[g_tab[el0]]))
+                extra = np.searchsorted(cum_term, rng.random(n), side="right")
+                for el in extra:
+                    vec = f_tab[el] * vec[g_tab[el]]
+                if n % 4 != 0:
+                    vec = -vec
+                live[row] = vec
+        done = r_end
     z = psi @ psi0.conj()
     p_re = np.clip(0.5 * (1.0 + z.real), 0.0, 1.0)
     p_im = np.clip(0.5 * (1.0 + z.imag), 0.0, 1.0)

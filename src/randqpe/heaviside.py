@@ -190,13 +190,14 @@ def build_fourier(params: ApproxParams) -> FourierSeries:
 
 
 def eval_fourier(series: FourierSeries, x):
-    """Evaluate F(x); the imaginary residue of the complex sum is asserted small."""
+    """Evaluate F(x); ArithmeticError if the sum's imaginary residue tops 1e-10."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     k = 2.0 * np.arange(series.d + 1) + 1.0
     coeff = -1j * series.odd_abs
     kx = np.outer(xs, k)
     total = 0.5 + (np.exp(1j * kx) - np.exp(-1j * kx)) @ coeff
-    assert float(np.abs(total.imag).max()) <= 1e-10, "imaginary residue too large"
+    if float(np.abs(total.imag).max()) > 1e-10:
+        raise ArithmeticError("imaginary residue too large")
     out = total.real
     return float(out[0]) if np.isscalar(x) else out
 

@@ -11,7 +11,6 @@ accuracy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +122,7 @@ def _curve_for_eps(lam: float, Delta: float, eta: float, eps: float, b: float,
 
 
 def tradeoff_curve(lam: float, Delta: float, eta: float, eps_list, b: float = 1.0,
-                   g_grid=None, n_grid: int = 40, threads: int = 1):
+                   g_grid=None, n_grid: int = 40):
     """Trade-off points for each eps: one total-complexity optimum plus a
     gate-constrained sweep from 1.05x the optimal budget down to the
     feasibility floor.  Infeasible budgets become warning records.
@@ -136,16 +135,8 @@ def tradeoff_curve(lam: float, Delta: float, eta: float, eps_list, b: float = 1.
     for eps in eps_list:
         if not 0.0 < eps < eta / 2.0:
             raise ValueError("each eps must lie in (0, eta/2)")
-    if threads > 1 and len(eps_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(
-                lambda e: _curve_for_eps(lam, Delta, eta, e, b, g_grid, n_grid),
-                eps_list)
-            out = [p for chunk in chunks for p in chunk]
-    else:
-        out = [p for eps in eps_list
-               for p in _curve_for_eps(lam, Delta, eta, eps, b, g_grid, n_grid)]
-    return out
+    return [p for eps in eps_list
+            for p in _curve_for_eps(lam, Delta, eta, eps, b, g_grid, n_grid)]
 
 
 CSV_HEADER = "eps,b,g_target,c_gate,c_sample_over_ln,c_total_over_ln,flag_optimal"

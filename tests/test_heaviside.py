@@ -95,6 +95,12 @@ class TestEval:
         err = np.abs((xs > 0).astype(float) - heaviside.eval_fourier(s, xs))
         assert err.max() <= s.params.eps_total
 
+    def test_imaginary_residue_raises(self):
+        # a complex odd_abs leaves an imaginary part 0.2 sin(x) in the sum
+        s = heaviside.FourierSeries(beta=1.0, d=0, odd_abs=np.array([0.1 + 0.1j]))
+        with pytest.raises(ArithmeticError, match="imaginary residue"):
+            heaviside.eval_fourier(s, 1.0)
+
 
 class TestCheb:
     def test_p_at_zero(self):

@@ -110,14 +110,3 @@ def test_ground_search_multiplier_near_six():
     tau = math.pi / (2 * lam + Delta)
     val = resources.ground_search_multiplier(0.1, tau * lam, 0.5 * tau * Delta)
     assert abs(val - 6.0) < 1.5
-
-
-def test_threads_match_serial():
-    pts_s = resources.tradeoff_curve(4.0, 1.0, 1.0, [0.2, 0.3], n_grid=5, threads=1)
-    pts_t = resources.tradeoff_curve(4.0, 1.0, 1.0, [0.2, 0.3], n_grid=5, threads=2)
-    assert len(pts_s) == len(pts_t)
-    for a, b in zip(pts_s, pts_t):
-        assert a.feasible == b.feasible
-        if a.feasible:
-            assert a.c_gate == pytest.approx(b.c_gate, rel=1e-14)
-            assert a.c_sample_over_ln == pytest.approx(b.c_sample_over_ln, rel=1e-14)
