@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -87,10 +86,9 @@ def _cmd_fourier(args) -> int:
     return 0
 
 
-def _build_plan_from_args(args, theta=None):
+def _build_plan_from_args(args):
     h = parse_hamiltonian(Path(args.ham).read_text())
-    plan = estimator.build_plan(h, args.Delta, args.eta, args.eps,
-                                theta if theta is not None else args.theta,
+    plan = estimator.build_plan(h, args.Delta, args.eta, args.eps, args.theta,
                                 b=args.b, rmode=args.rmode, g=args.g)
     return h, plan
 
@@ -135,16 +133,10 @@ def _cmd_ground_energy(args) -> int:
     h = parse_hamiltonian(Path(args.ham).read_text())
     state = prepare_state(args.state, h)
     rng = derive_rng(args.seed)
-    tau = math.pi / (2.0 * h.lam / args.b + args.Delta)
-    delta = 0.5 * tau * args.Delta
-    theta = args.xi / estimator.plan_queries(tau, h.lam, delta)
-    plan = estimator.build_plan(h, args.Delta, args.eta, args.eps, theta,
-                                b=args.b, rmode=args.rmode, g=args.g,
-                                delta_scale=0.5)
-    res = estimator.ground_energy(h, state, args.Delta, args.eta, args.xi, rng,
-                                  seed=args.seed, plan=plan)
+    res = estimator.ground_energy(h, state, args.Delta, args.eta, args.xi, rng, b=args.b,
+                                  rmode=args.rmode, g=args.g, eps=args.eps, seed=args.seed)
     out = res.to_json_dict()
-    out["plan_hash"] = _plan_hash(plan)
+    out["plan_hash"] = _plan_hash(res.plan)
     _write(json.dumps(out, indent=2) + "\n", args.out)
     return 0
 

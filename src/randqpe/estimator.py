@@ -10,7 +10,7 @@ single quantum data set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,15 @@ class Plan:
         return out
 
 
+def _window(lam: float, Delta: float, b: float, eps: float, delta_scale: float = 1.0):
+    """tau, delta, the certified filter and its odd-index grid (js, times, weights)."""
+    tau = math.pi / (2.0 * lam / b + Delta)
+    delta = delta_scale * tau * Delta
+    series = build_fourier(optimize_split(delta, eps))
+    js = 2 * np.arange(series.d + 1, dtype=np.int64) + 1
+    return tau, delta, series, js, -js * tau * lam, 2.0 * series.odd_abs
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """x-independent Hadamard records (j_i, m_i) tied to their Plan."""
@@ -75,6 +84,17 @@ class SampleSet:
         self.m.flags.writeable = False
 
 
+def _check_plan_args(lam: float, Delta: float, eta: float, eps: float, b: float):
+    if Delta <= 0:
+        raise ValueError("Delta must be positive")
+    if b < 1.0:
+        raise ValueError("b must be >= 1")
+    if Delta > 2.0 * lam / b:
+        raise ValueError("need Delta <= 2 lambda / b to keep delta below pi/2")
+    if not 0.0 < eps < eta / 2.0 <= 0.5:
+        raise ValueError("need 0 < eps < eta/2 <= 1/2")
+
+
 def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float, theta: float,
                b: float = 1.0, rmode: str = "total", g: float | None = None,
                delta_scale: float = 1.0) -> Plan:
@@ -85,25 +105,18 @@ def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float, theta: floa
     subject to expected gates <= g).  delta_scale 0.5 is the ground-state
     search setting; 1.0 the plain thresholding one.
     """
-    if Delta <= 0:
-        raise ValueError("Delta must be positive")
-    if b < 1.0:
-        raise ValueError("b must be >= 1")
-    if Delta > 2.0 * h.lam / b:
-        raise ValueError("need Delta <= 2 lambda / b to keep delta below pi/2")
-    if not 0.0 < eps < eta / 2.0 <= 0.5:
-        raise ValueError("need 0 < eps < eta/2 <= 1/2")
+    _check_plan_args(h.lam, Delta, eta, eps, b)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be a probability")
     if not 0.0 < delta_scale <= 1.0:
         raise ValueError("delta_scale must lie in (0, 1]")
-    tau = math.pi / (2.0 * h.lam / b + Delta)
-    delta = delta_scale * tau * Delta
-    params = optimize_split(delta, eps)
-    series = build_fourier(params)
-    js = 2 * np.arange(series.d + 1, dtype=np.int64) + 1
-    times = -js * tau * h.lam
-    weights = 2.0 * series.odd_abs
+    return _assemble(h, _window(h.lam, Delta, b, eps, delta_scale), eta, eps, theta,
+                     b, rmode, g)
+
+
+def _assemble(h: Hamiltonian, window, eta: float, eps: float, theta: float, b: float,
+              rmode: str, g: float | None) -> Plan:
+    tau, delta, series, js, times, weights = window
     if rmode == "constant":
         rvec = runtime.constant_weight(times)
     elif rmode == "total":
@@ -115,9 +128,7 @@ def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float, theta: floa
     else:
         raise ValueError(f"unknown rmode {rmode!r}")
     gamma = 0.01 * (eta / 2.0 - eps)
-    u = np.exp(times ** 2 / rvec)
-    a_u = float((weights * u).sum())
-    cg_u = float((weights * u * rvec).sum() / a_u)
+    a_u, cg_u = runtime.weight_and_gates(weights, np.exp(times ** 2 / rvec), rvec)
     M = truncation_order(gamma, a_u, cg_u)
     complexities = runtime.complexity_report(weights, times, rvec, eta, eps, theta,
                                              exact_mu=True, M=M, bias=gamma)
@@ -125,7 +136,7 @@ def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float, theta: floa
     return Plan(h=h, tau=tau, delta=delta, eta=eta, eps=eps, theta=theta, b=b,
                 gamma=gamma, M=M, rmode=rmode, fourier=series, js=js, times=times,
                 weights=weights, rvec=rvec, mu=mu, complexities=complexities,
-                eps_total=params.eps_total)
+                eps_total=series.params.eps_total)
 
 
 def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) -> SampleSet:
@@ -276,6 +287,7 @@ class GroundEnergyResult:
     theta: float
     c_sample: int
     c_gate_expected: float
+    plan: Plan = field(compare=False, repr=False)
     seed: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -299,8 +311,7 @@ def plan_queries(tau: float, lam: float, delta: float) -> int:
 def ground_energy(h: Hamiltonian, state: StateVector, Delta: float, eta: float,
                   xi: float, rng: np.random.Generator, b: float = 1.0,
                   rmode: str = "total", g: float | None = None,
-                  eps: float | None = None, seed: int | None = None,
-                  plan: Plan | None = None) -> GroundEnergyResult:
+                  eps: float | None = None, seed: int | None = None) -> GroundEnergyResult:
     """Estimate the lowest eigenvalue to within Delta with probability 1 - xi.
 
     Requires the promise tr[rho P_ground] >= eta (not detected if violated).
@@ -312,16 +323,11 @@ def ground_energy(h: Hamiltonian, state: StateVector, Delta: float, eta: float,
         raise ValueError("xi must lie in (0, 1)")
     if eps is None:
         eps = eta / 4.0
-    if plan is None:
-        tau = math.pi / (2.0 * h.lam / b + Delta)
-        delta = 0.5 * tau * Delta
-        s = plan_queries(tau, h.lam, delta)
-        theta = xi / s
-        plan = build_plan(h, Delta, eta, eps, theta, b=b, rmode=rmode, g=g,
-                          delta_scale=0.5)
-    else:
-        tau, delta = plan.tau, plan.delta
-        s = plan_queries(tau, h.lam, delta)
+    _check_plan_args(h.lam, Delta, eta, eps, b)
+    window = _window(h.lam, Delta, b, eps, delta_scale=0.5)
+    tau, delta = window[:2]
+    s = plan_queries(tau, h.lam, delta)
+    plan = _assemble(h, window, eta, eps, xi / s, b, rmode, g)
     samples = collect_samples(plan, state, rng)
     tl = plan.tau * h.lam
     # lo - delta = -tau lam - 2 delta < tau E_min, so lo acts as a virtual
@@ -349,5 +355,6 @@ def ground_energy(h: Hamiltonian, state: StateVector, Delta: float, eta: float,
         theta=plan.theta,
         c_sample=plan.complexities.c_sample,
         c_gate_expected=plan.complexities.c_gate,
+        plan=plan,
         seed=seed,
     )

@@ -103,23 +103,24 @@ def select_parameters(delta: float, eps1: float, eps2: float, eps3: float) -> Ap
         raise ValueError("delta must lie in (0, pi/2)")
     if min(eps1, eps2, eps3) <= 0.0:
         raise ValueError("eps components must be positive")
-    beta = max(specfun.lambert_w0(2.0 / (math.pi * eps3 ** 2)) / (4.0 * math.sin(delta) ** 2), 1.0)
-    w1 = specfun.lambert_w0(8.0 / (math.pi * eps1 ** 2))
-    eff = math.sqrt(2.0 * math.pi * w1) * eps2
-    if eff < 1.0:
-        t_int = math.ceil(specfun.f_threshold(beta, eff))
-    else:
-        t_int = math.ceil(beta)
+    beta, w1, t = _beta_w1_t(delta, eps1, eps2, eps3)
+    t_int = math.ceil(t)
     d = max(1, math.ceil(math.sqrt(t_int * w1)))
     return ApproxParams(delta, eps1, eps2, eps3, beta, w1, t_int, d)
 
 
-def _d_continuous(delta: float, eps1: float, eps2: float, eps3: float) -> float:
-    # real-valued d proxy (no ceilings), used only to steer the refinement
+def _beta_w1_t(delta: float, eps1: float, eps2: float, eps3: float):
+    """beta, W(8/(pi eps1^2)) and the real-valued Poisson-tail threshold t."""
     beta = max(specfun.lambert_w0(2.0 / (math.pi * eps3 ** 2)) / (4.0 * math.sin(delta) ** 2), 1.0)
     w1 = specfun.lambert_w0(8.0 / (math.pi * eps1 ** 2))
     eff = math.sqrt(2.0 * math.pi * w1) * eps2
     t = specfun.f_threshold(beta, eff) if eff < 1.0 else beta
+    return beta, w1, t
+
+
+def _d_continuous(delta: float, eps1: float, eps2: float, eps3: float) -> float:
+    # real-valued d proxy (no ceilings), used only to steer the refinement
+    _, w1, t = _beta_w1_t(delta, eps1, eps2, eps3)
     return math.sqrt(t * w1)
 
 
@@ -173,6 +174,15 @@ def optimize_split(delta: float, eps: float, grid: int = 20) -> ApproxParams:
     return min(results, key=lambda p: (p.d, p.t_int))
 
 
+def _bessel_numerator(beta: float, d: int) -> np.ndarray:
+    """ive_j + ive_{j+1} for j < d and ive_d at j = d, shared by both series."""
+    iv = specfun.bessel_i_scaled_sequence(d, beta)
+    num = np.empty(d + 1)
+    num[:d] = iv[:d] + iv[1:d + 1]
+    num[d] = iv[d]
+    return num
+
+
 def build_fourier(params: ApproxParams) -> FourierSeries:
     """Fourier coefficients from scaled Bessel values.
 
@@ -180,22 +190,24 @@ def build_fourier(params: ApproxParams) -> FourierSeries:
     with the single-Bessel form at j = d.
     """
     beta, d = params.beta, params.d
-    iv = specfun.bessel_i_scaled_sequence(d, beta)
-    num = np.empty(d + 1)
-    num[:d] = iv[:d] + iv[1:d + 1]
-    num[d] = iv[d]
     k = 2.0 * np.arange(d + 1) + 1.0
-    odd_abs = math.sqrt(beta / (2.0 * math.pi)) * num / k
+    odd_abs = math.sqrt(beta / (2.0 * math.pi)) * _bessel_numerator(beta, d) / k
     return FourierSeries(beta=beta, d=d, odd_abs=odd_abs, params=params)
+
+
+_EVAL_BLOCK = 1 << 18  # x-by-frequency elements per eval_fourier block, ~56 B each
 
 
 def eval_fourier(series: FourierSeries, x):
     """Evaluate F(x); ArithmeticError if the sum's imaginary residue tops 1e-10."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float).ravel()
     k = 2.0 * np.arange(series.d + 1) + 1.0
     coeff = -1j * series.odd_abs
-    kx = np.outer(xs, k)
-    total = 0.5 + (np.exp(1j * kx) - np.exp(-1j * kx)) @ coeff
+    total = np.empty(xs.size, dtype=complex)
+    rows = max(1, _EVAL_BLOCK // k.size)
+    for lo in range(0, xs.size, rows):
+        kx = np.outer(xs[lo:lo + rows], k)
+        total[lo:lo + rows] = 0.5 + (np.exp(1j * kx) - np.exp(-1j * kx)) @ coeff
     if float(np.abs(total.imag).max()) > 1e-10:
         raise ArithmeticError("imaginary residue too large")
     out = total.real
@@ -205,10 +217,7 @@ def eval_fourier(series: FourierSeries, x):
 def build_cheb(params: ApproxParams) -> ChebSeries:
     """Chebyshev coefficients of the erf approximant Q on odd orders."""
     beta, d = params.beta, params.d
-    iv = specfun.bessel_i_scaled_sequence(d, beta)
-    num = np.empty(d + 1)
-    num[:d] = iv[:d] + iv[1:d + 1]
-    num[d] = iv[d]
+    num = _bessel_numerator(beta, d)
     j = np.arange(d + 1)
     signs = np.where(j % 2 == 0, 1.0, -1.0)
     q_odd = 2.0 * math.sqrt(2.0 * beta / math.pi) * signs * num / (2.0 * j + 1.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import runtime
-from .heaviside import build_fourier, optimize_split
+from .estimator import _window, plan_queries
 
 HWP_DEFAULT_WIDTHS = (40, 100)
 
@@ -73,26 +73,16 @@ def ground_search_multiplier(xi: float, tau_lambda: float, delta: float) -> floa
 
     At the heavy-molecule benchmark parameters, xi = 0.1 gives roughly 6.
     """
-    s = math.ceil(math.log2((2.0 * tau_lambda + 4.0 * delta) / (2.0 * delta)))
-    return math.log(s / xi)
+    return math.log(plan_queries(tau_lambda, 1.0, delta) / xi)
 
 
 def _curve_for_eps(lam: float, Delta: float, eta: float, eps: float, b: float,
                    g_grid, n_grid: int):
-    tau = math.pi / (2.0 * lam / b + Delta)
-    delta = tau * Delta
-    params = optimize_split(delta, eps)
-    series = build_fourier(params)
-    js = 2 * np.arange(series.d + 1, dtype=np.int64) + 1
-    times = -js * tau * lam
-    weights = 2.0 * series.odd_abs
+    *_, times, weights = _window(lam, Delta, b, eps)
     margin = eta / 2.0 - eps
 
     def point(rvec, g_target, optimal):
-        u = np.exp(times ** 2 / rvec)
-        wu = weights * u
-        a = float(wu.sum())
-        c_gate = float((wu * rvec).sum() / a)
+        a, c_gate = runtime.weight_and_gates(weights, np.exp(times ** 2 / rvec), rvec)
         cs = (2.0 * a / margin) ** 2
         tof = {w: c_gate * hwp_toffoli_per_gate(w) for w in HWP_DEFAULT_WIDTHS}
         return ResourcePoint(eps=eps, b=b, g_target=g_target, c_gate=c_gate,

@@ -66,10 +66,16 @@ def _r_of_s(t2: np.ndarray, s: float) -> np.ndarray:
     return 0.5 * t2 * (1.0 + np.sqrt(1.0 + 4.0 * s / t2))
 
 
+def weight_and_gates(weights, mu, r) -> tuple[float, float]:
+    """A = sum w mu and c_gate = sum w mu r / A, with no validation and one pass
+    each: the runtime optimizers call this hundreds of times over ~1e6 indices."""
+    wmu = weights * mu
+    a = float(wmu.sum())
+    return a, float((wmu * r).sum() / a)
+
+
 def _S(weights, t2, r) -> float:
-    u = np.exp(t2 / r)
-    wu = weights * u
-    return float((wu * r).sum() / wu.sum())
+    return weight_and_gates(weights, np.exp(t2 / r), r)[1]
 
 
 def minimize_total(weights, times) -> np.ndarray:
@@ -146,7 +152,7 @@ def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarra
             if _S(w, t2, r_clamped(hi)) >= target:
                 break
             hi *= 2.0
-        if _S(w, t2, r_clamped(s_min)) >= target:
+        if floor >= target:
             s_star = s_min
         else:
             s_star = brentq(lambda s: _S(w, t2, r_clamped(s)) - target,
@@ -162,13 +168,9 @@ def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarra
     return r
 
 
-def _objective(w, t2, r):
-    return float((w * np.exp(t2 / r)).sum())
-
-
 def _polish(w, t2, lb, r, g_cap):
     r = r.copy()
-    best = _objective(w, t2, r.astype(float))
+    best = weight_and_gates(w, np.exp(t2 / r), r)[0]
     for _ in range(4):
         improved = False
         for i in range(r.size):
@@ -178,9 +180,9 @@ def _polish(w, t2, lb, r, g_cap):
                 if cand[i] < max(1, math.ceil(lb[i] - 1e-9)):
                     continue
                 cf = cand.astype(float)
-                if _S(w, t2, cf) > g_cap:
+                val, gates = weight_and_gates(w, np.exp(t2 / cf), cf)
+                if gates > g_cap:
                     continue
-                val = _objective(w, t2, cf)
                 if val < best - 1e-12 * abs(best):
                     r, best, improved = cand, val, True
         if not improved:
@@ -207,10 +209,7 @@ def complexity_report(weights, times, r, eta: float, eps: float, theta: float,
     margin = eta / 2.0 - eps - bias
     if margin <= 0.0:
         raise ValueError("decision margin eta/2 - eps - bias must be positive")
-    mu = mu_vector(t, r, M, exact_mu)
-    wmu = w * mu
-    weight_a = float(wmu.sum())
+    weight_a, c_gate = weight_and_gates(w, mu_vector(t, r, M, exact_mu), r)
     c_sample = math.ceil((2.0 * weight_a / margin) ** 2 * math.log(1.0 / theta))
-    c_gate = float((wmu * r).sum() / weight_a)
     return Complexities(weight_A=weight_a, c_sample=c_sample, c_gate=c_gate,
                         c_total=2.0 * c_sample * c_gate, used_exact_mu=exact_mu)

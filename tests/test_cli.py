@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from randqpe.cli import run
+from randqpe import estimator
+from randqpe._rng import derive_rng
+from randqpe.backend import prepare_state
+from randqpe.cli import _plan_hash, run
+from randqpe.pauli import parse_hamiltonian
 
 
 @pytest.fixture
@@ -104,6 +109,19 @@ class TestGroundEnergy:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+    def test_library_and_cli_agree(self, ham_mix, tmp_path):
+        out = tmp_path / "res.json"
+        assert run(["ground-energy", "--ham", ham_mix, "--state", "groundmix:0.6",
+                    "--Delta", "0.2", "--eta", "0.6", "--xi", "0.1", "--seed", "5",
+                    "--out", str(out)]) == 0
+        h = parse_hamiltonian(Path(ham_mix).read_text())
+        res = estimator.ground_energy(h, prepare_state("groundmix:0.6", h), 0.2, 0.6,
+                                      0.1, derive_rng(5), seed=5)
+        expect = dict(res.to_json_dict(), plan_hash=_plan_hash(res.plan))
+        assert out.read_text() == json.dumps(expect, indent=2) + "\n"
+        assert res.theta == res.plan.theta == 0.1 / res.s_queries
 
 
 class TestResourceCurve:

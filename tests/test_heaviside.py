@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,31 @@ class TestEval:
         s = heaviside.FourierSeries(beta=1.0, d=0, odd_abs=np.array([0.1 + 0.1j]))
         with pytest.raises(ArithmeticError, match="imaginary residue"):
             heaviside.eval_fourier(s, 1.0)
+
+    def test_peak_memory_bounded_at_small_delta(self):
+        # d = 17,728: one outer product over 1,000 points would hold ~1 GB
+        s = heaviside.build_fourier(heaviside.optimize_split(1e-4, 0.1))
+        xs = np.linspace(-math.pi, math.pi, 1000)
+        tracemalloc.start()
+        try:
+            heaviside.eval_fourier(s, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 20
+
+    def test_blocks_match_single_block(self, monkeypatch):
+        s = heaviside.build_fourier(heaviside.optimize_split(0.3, 0.1))
+        xs = np.linspace(-math.pi, math.pi, 999)
+        monkeypatch.setattr(heaviside, "_EVAL_BLOCK", xs.size * (s.d + 1))
+        whole = heaviside.eval_fourier(s, xs)
+        # seven rows per block leaves a ragged last block
+        monkeypatch.setattr(heaviside, "_EVAL_BLOCK", 7 * (s.d + 1))
+        blocked = heaviside.eval_fourier(s, xs)
+        assert np.abs(blocked - whole).max() <= 1e-12
+        scalar = heaviside.eval_fourier(s, 0.25)
+        assert isinstance(scalar, float)
+        assert scalar == heaviside.eval_fourier(s, np.array([0.25]))[0]
 
 
 class TestCheb:

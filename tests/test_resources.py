@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from randqpe import resources, runtime
+import randqpe as rq
+from randqpe import estimator, resources, runtime
 
 
 class TestHwpToffoli:
@@ -110,3 +111,16 @@ def test_ground_search_multiplier_near_six():
     tau = math.pi / (2 * lam + Delta)
     val = resources.ground_search_multiplier(0.1, tau * lam, 0.5 * tau * Delta)
     assert abs(val - 6.0) < 1.5
+
+
+@pytest.mark.parametrize("b", [1.0, 2.5])
+def test_curve_optimum_matches_build_plan(b):
+    # both derive tau, the filter and the runtime vector from one helper
+    lam, Delta, eta, eps = 3.7, 0.9, 1.0, 0.2
+    h = rq.Hamiltonian([(lam, rq.SignedPauli(rq.PauliString.from_axes("Z")))])
+    plan = estimator.build_plan(h, Delta, eta, eps, 0.1, b=b, rmode="total")
+    u = np.exp(plan.times ** 2 / plan.rvec)
+    _, c_gate = runtime.weight_and_gates(plan.weights, u, plan.rvec)
+    (opt,) = resources.tradeoff_curve(lam, Delta, eta, [eps], b=b, g_grid=[])
+    assert opt.flag_optimal
+    assert opt.c_gate == c_gate
