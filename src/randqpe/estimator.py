@@ -130,9 +130,8 @@ def _assemble(h: Hamiltonian, window, eta: float, eps: float, theta: float, b: f
     gamma = 0.01 * (eta / 2.0 - eps)
     a_u, cg_u = runtime.weight_and_gates(weights, np.exp(times ** 2 / rvec), rvec)
     M = truncation_order(gamma, a_u, cg_u)
-    complexities = runtime.complexity_report(weights, times, rvec, eta, eps, theta,
-                                             exact_mu=True, M=M, bias=gamma)
-    mu = runtime.mu_vector(times, rvec, M, exact=True)
+    complexities, mu = runtime._report(weights, times, rvec, eta, eps, theta,
+                                       exact_mu=True, M=M, bias=gamma)
     return Plan(h=h, tau=tau, delta=delta, eta=eta, eps=eps, theta=theta, b=b,
                 gamma=gamma, M=M, rmode=rmode, fourier=series, js=js, times=times,
                 weights=weights, rvec=rvec, mu=mu, complexities=complexities,
@@ -326,13 +325,13 @@ def ground_energy(h: Hamiltonian, state: StateVector, Delta: float, eta: float,
     _check_plan_args(h.lam, Delta, eta, eps, b)
     window = _window(h.lam, Delta, b, eps, delta_scale=0.5)
     tau, delta = window[:2]
-    s = plan_queries(tau, h.lam, delta)
+    s = plan_queries(tau, h.lam / b, delta)
     plan = _assemble(h, window, eta, eps, xi / s, b, rmode, g)
     samples = collect_samples(plan, state, rng)
-    tl = plan.tau * h.lam
-    # lo - delta = -tau lam - 2 delta < tau E_min, so lo acts as a virtual
+    tl = plan.tau * h.lam / b     # the promise is ||H|| <= lambda / b
+    # lo - delta = -tau lam/b - 2 delta < tau E_min, so lo acts as a virtual
     # answer 0; with the loop condition every midpoint stays above lo + delta
-    # = -tau lam, inside the legal query window.
+    # = -tau lam/b, inside the legal query window.
     lo = -tl - plan.delta
     hi = tl                       # virtual answer 1: tau E_min <= hi + delta
     used = 0

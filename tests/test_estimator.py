@@ -7,7 +7,7 @@ import pytest
 
 import randqpe as rq
 from conftest import random_hamiltonian
-from randqpe import backend, estimator
+from randqpe import backend, estimator, runtime
 from randqpe._rng import derive_rng
 
 
@@ -59,6 +59,22 @@ class TestBuildPlan:
             estimator.build_plan(h, 0.1, 1.0, 0.6, 0.1)  # eps >= eta/2
         with pytest.raises(ValueError):
             estimator.build_plan(h, 0.1, 1.0, 0.2, 0.1, rmode="gated")  # missing g
+
+    @pytest.mark.parametrize("rmode, g", [("constant", None), ("total", None),
+                                          ("gated", 60.0)])
+    def test_mu_computed_once(self, monkeypatch, rmode, g):
+        calls = []
+        orig = runtime.mu_vector
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, "mu_vector", counting)
+        h = random_hamiltonian(2, 3, seed=37)
+        p = estimator.build_plan(h, 0.3 * h.lam, 0.8, 0.2, 0.05, rmode=rmode, g=g)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(p.mu, orig(p.times, p.rvec, p.M, exact=True))
 
 
 class TestCollectSamples:

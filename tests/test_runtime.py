@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from randqpe import runtime
+from randqpe import estimator, runtime
 
 
 def random_instance(rng, n=6, fmax=1.0, tmax=4.0):
@@ -145,6 +146,68 @@ class TestMinimizeSamples:
 
 def _objective(w, t, r):
     return float((np.asarray(w) * np.exp(np.asarray(t) ** 2 / r)).sum())
+
+
+def _bracket_in_s(w, t, g, slack=0.01):
+    """Oracle for minimize_samples: brentq on s itself over [s_min, hi], every
+    rounding retry taken, S(r) evaluated with plain numpy."""
+    t2 = t * t
+    lb = np.maximum(1.0, np.abs(t))
+    s_min = -0.25 * float(t2.min()) * (1.0 - 1e-15)
+
+    def gates(r):
+        u = w * np.exp(t2 / r)
+        return float((u * r).sum() / u.sum())
+
+    def r_of(s):
+        return np.maximum(0.5 * t2 * (1.0 + np.sqrt(1.0 + 4.0 * s / t2)), lb)
+
+    floor = gates(r_of(s_min))
+    if g < floor * (1.0 - 1e-12):
+        return None
+    target = g
+    for _ in range(8):
+        hi = max(2.0 * float(t2.max()), 4.0 * target)
+        while gates(r_of(hi)) < target:
+            hi *= 2.0
+        s = s_min if floor >= target else brentq(
+            lambda s: gates(r_of(s)) - target, s_min, hi, rtol=1e-14, maxiter=200)
+        r = np.maximum(np.round(r_of(s)), np.ceil(lb - 1e-9))
+        if gates(r) <= g * (1.0 + slack):
+            return r
+        target *= 0.98
+    return None
+
+
+def test_heavy_sweep_evaluation_count_and_oracle(monkeypatch):
+    # lambda 1511 at a 100x coarser Delta than the heavy-molecule point: d = 7,495
+    *_, times, weights = estimator._window(1511.0, 0.16, 1.0, 0.2)
+    r_opt = runtime.minimize_total(weights, times)
+    c_gate_opt = runtime.weight_and_gates(weights, np.exp(times ** 2 / r_opt), r_opt)[1]
+    floor = runtime.gate_floor(weights, times)
+    calls = []
+    orig = runtime._S
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(runtime, "_S", counting)
+    feasible = 0
+    for g in np.geomspace(1.05 * c_gate_opt, floor * (1 + 1e-6), 10):
+        expect = _bracket_in_s(weights, times, float(g))
+        if expect is None:
+            with pytest.raises(runtime.FeasibilityError):
+                runtime.minimize_samples(weights, times, float(g))
+            continue
+        r = runtime.minimize_samples(weights, times, float(g))
+        got = runtime.weight_and_gates(weights, np.exp(times ** 2 / r), r)
+        want = runtime.weight_and_gates(weights, np.exp(times ** 2 / expect), expect)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+        feasible += 1
+    assert feasible >= 8
+    # bracketing in s took 223 evaluations here; ln(s - s_min) takes 160
+    assert len(calls) <= 180
 
 
 class TestComplexityReport:
