@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .lcu import LcuUnitary, PauliOp, PauliRotation, Phase
 from .pauli import DENSE_QUBIT_CAP, Hamiltonian, index_action
@@ -33,7 +34,7 @@ class StateVector:
         if self.amplitudes.shape != (1 << self.width,):
             raise ValueError("amplitude length must be 2^width")
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state norm {norm} not 1 within 1e-10")
 
 
@@ -53,14 +54,19 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
                   max_width: int = DENSE_QUBIT_CAP) -> StateVector:
     """Build an ansatz from 'basis:<bits>', 'file:<path>', or 'groundmix:<eta>'.
 
-    groundmix mixes sqrt(eta) of the ground state with sqrt(1-eta) of a
-    deterministic pseudo-random unit vector orthogonal to the ground space.
+    groundmix takes a fixed pseudo-random vector w and the projector P onto
+    the ground space (eigenvalues within 1e-9 * lambda of the lowest) and
+    returns sqrt(eta) Pw/|Pw| + sqrt(1-eta) (w-Pw)/|w-Pw|, which does not
+    depend on the eigenbasis LAPACK returns.  All three descriptors are
+    capped at max_width qubits.
     """
     kind, _, arg = spec.partition(":")
     if kind == "basis":
         if not arg or any(c not in "01" for c in arg):
             raise ValueError(f"bad basis descriptor {spec!r}")
         width = len(arg)
+        if width > max_width:
+            raise ValueError(f"width {width} exceeds cap {max_width}")
         index = sum(int(c) << q for q, c in enumerate(arg))
         amps = np.zeros(1 << width, dtype=complex)
         amps[index] = 1.0
@@ -71,15 +77,21 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            re_s, im_s = line.split()
-            rows.append(complex(float(re_s), float(im_s)))
-        amps = np.array(rows, dtype=complex)
-        width = int(math.log2(len(amps)))
-        if 1 << width != len(amps):
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"amplitude line {line!r}: expected 're im'")
+            rows.append(complex(float(parts[0]), float(parts[1])))
+        if not rows:
+            raise ValueError(f"no amplitudes in {arg!r}")
+        width = len(rows).bit_length() - 1
+        if 1 << width != len(rows):
             raise ValueError("amplitude count must be a power of two")
+        if width > max_width:
+            raise ValueError(f"width {width} exceeds cap {max_width}")
+        amps = np.array(rows, dtype=complex)
         norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("cannot normalize zero amplitudes")
+        if not 0 < norm < math.inf:
+            raise ValueError(f"amplitude norm {norm} is not finite and positive")
         return StateVector(amps / norm, width)
     if kind == "groundmix":
         if h is None:
@@ -89,16 +101,23 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
             raise ValueError("groundmix overlap must lie in (0, 1]")
         if h.width > max_width:
             raise ValueError(f"width {h.width} exceeds cap {max_width}")
-        evals, evecs = np.linalg.eigh(h.matrix(max_width))
-        ground = evals <= evals[0] + 1e-9 * h.lam
-        g = evecs[:, 0]
-        if eta == 1.0:
-            return StateVector(g.astype(complex), h.width)
+        dim, tol = 1 << h.width, 1e-9 * h.lam
+        # H^T = conj(H) is Fortran-ordered, so LAPACK solves it in place
+        # without a copy; conjugating its eigenvectors gives those of H
+        evals, evecs = scipy.linalg.eigh(h.matrix(max_width).T, overwrite_a=True, driver="evr",
+                                         subset_by_index=[0, min(8, dim) - 1])
+        if len(evals) < dim and evals[-1] <= evals[0] + tol:
+            evals, evecs = scipy.linalg.eigh(h.matrix(max_width).T, overwrite_a=True, driver="evr")
+        gspace = evecs[:, evals <= evals[0] + tol].conj()
+        if eta < 1.0 and gspace.shape[1] == dim:
+            raise ValueError("groundmix overlap below 1 needs a spectrum above the ground space")
         rng = np.random.Generator(np.random.PCG64(_GROUNDMIX_SEED))
-        v = rng.standard_normal(len(g)) + 1j * rng.standard_normal(len(g))
-        gspace = evecs[:, ground]
-        v = v - gspace @ (gspace.conj().T @ v)
-        v /= np.linalg.norm(v)
+        w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        pw = gspace @ (gspace.conj().T @ w)
+        g = pw / np.linalg.norm(pw)
+        if eta == 1.0:
+            return StateVector(g, h.width)
+        v = (w - pw) / np.linalg.norm(w - pw)
         return StateVector(math.sqrt(eta) * g + math.sqrt(1.0 - eta) * v, h.width)
     raise ValueError(f"unknown state descriptor {spec!r}")
 

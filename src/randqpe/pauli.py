@@ -14,6 +14,7 @@ floating point.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,8 +191,8 @@ class Hamiltonian:
         width = terms[0][1].width
         seen = set()
         for w, op in terms:
-            if w <= 0:
-                raise ValueError("term weights must be positive")
+            if not 0 < w < math.inf:
+                raise ValueError("term weights must be positive and finite")
             if op.width != width:
                 raise ValueError("inconsistent term widths")
             key = (op.pauli.x_bits, op.pauli.z_bits, op.sign)
@@ -200,6 +201,8 @@ class Hamiltonian:
             seen.add(key)
         self.terms = terms
         self.lam = float(sum(w for w, _ in terms))
+        if self.lam == math.inf:
+            raise ValueError("lambda overflows")
         self.width = width
 
     def normalized_distribution(self):
@@ -209,9 +212,11 @@ class Hamiltonian:
     def matrix(self, max_width: int = DENSE_QUBIT_CAP) -> np.ndarray:
         _check_width(self.width, max_width)
         dim = 1 << self.width
+        rows = np.arange(dim)
         m = np.zeros((dim, dim), dtype=complex)
         for w, op in self.terms:
-            m += w * op.matrix(max_width)
+            perm, phase = index_action(op)
+            m[rows, perm] += w * phase
         return m
 
     def serialize(self) -> str:
@@ -232,6 +237,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     order = []
     width = None
     n_lines = 0
+    total = 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -246,6 +252,11 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
             raise ValueError(f"line {lineno}: bad coefficient {parts[0]!r}") from None
         if coeff == 0.0:
             raise ValueError(f"line {lineno}: zero coefficient")
+        if not math.isfinite(coeff):
+            raise ValueError(f"line {lineno}: non-finite coefficient {parts[0]!r}")
+        total += abs(coeff)
+        if not math.isfinite(total):
+            raise ValueError(f"line {lineno}: lambda overflows")
         try:
             pauli = PauliString.from_axes(parts[1])
         except ValueError as exc:

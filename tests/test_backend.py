@@ -59,6 +59,72 @@ class TestPrepareState:
             backend.prepare_state(f"file:{bad}")
 
 
+class TestGroundmix:
+    @staticmethod
+    def reference(h, eta):
+        # sqrt(eta) Pw/|Pw| + sqrt(1-eta) (w-Pw)/|w-Pw|, P from a full eigh
+        evals, evecs = np.linalg.eigh(h.matrix())
+        gspace = evecs[:, evals <= evals[0] + 1e-9 * h.lam]
+        rng = np.random.Generator(np.random.PCG64(backend._GROUNDMIX_SEED))
+        w = rng.standard_normal(len(evals)) + 1j * rng.standard_normal(len(evals))
+        pw = gspace @ (gspace.conj().T @ w)
+        g, v = pw / np.linalg.norm(pw), (w - pw) / np.linalg.norm(w - pw)
+        return math.sqrt(eta) * g + math.sqrt(1.0 - eta) * v, gspace
+
+    @pytest.mark.parametrize("make_h, fold, solves", [
+        (lambda: random_hamiltonian(3, 5, seed=41), 2, 1),
+        # k = 8 cannot confirm an 8-fold ground space, so the full solve runs
+        (lambda: rq.parse_hamiltonian("1.0 ZIII"), 8, 2),
+        (lambda: rq.parse_hamiltonian("1.0 Z"), 1, 1),
+        (lambda: random_hamiltonian(8, 16, seed=42), 1, 1),
+    ], ids=["2-fold", "8-fold", "below-8-dims", "8-qubits"])
+    @pytest.mark.parametrize("eta", [0.37, 1.0])
+    def test_matches_projector_formula(self, monkeypatch, make_h, fold, solves, eta):
+        h = make_h()
+        calls = []
+        eigh = backend.scipy.linalg.eigh
+        monkeypatch.setattr(backend.scipy.linalg, "eigh",
+                            lambda *a, **k: calls.append(k) or eigh(*a, **k))
+        s = backend.prepare_state(f"groundmix:{eta}", h)
+        assert len(calls) == solves
+        ref, gspace = self.reference(h, eta)
+        assert gspace.shape[1] == fold
+        np.testing.assert_allclose(s.amplitudes, ref, rtol=0, atol=1e-12)
+        overlap = float(np.linalg.norm(gspace.conj().T @ s.amplitudes) ** 2)
+        assert overlap == pytest.approx(eta, abs=1e-10)
+
+    def test_whole_space_ground_rejected_below_one(self):
+        h = rq.parse_hamiltonian("1.0 Z\n-1.0 Z")  # H = 0
+        assert backend.prepare_state("groundmix:1", h).width == 1
+        with pytest.raises(ValueError, match="above the ground space"):
+            backend.prepare_state("groundmix:0.5", h)
+
+
+class TestDescriptorLimits:
+    def test_basis_width_checked_before_allocating(self):
+        with pytest.raises(ValueError, match="width 13 exceeds cap 12"):
+            backend.prepare_state("basis:" + "0" * 13)
+
+    def test_file_width_checked(self, tmp_path):
+        p = tmp_path / "wide.txt"
+        p.write_text("1 0\n" * (1 << 13))
+        with pytest.raises(ValueError, match="width 13 exceeds cap 12"):
+            backend.prepare_state(f"file:{p}")
+
+    @pytest.mark.parametrize("text, frag", [
+        ("", "no amplitudes"),
+        ("# comment only\n", "no amplitudes"),
+        ("1 0\nnan 0\n", "not finite"),
+        ("1 0\ninf 0\n", "not finite"),
+        ("1 0 0\n0 0\n", "expected 're im'"),
+    ])
+    def test_file_plain_errors(self, tmp_path, text, frag):
+        p = tmp_path / "amps.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=frag):
+            backend.prepare_state(f"file:{p}")
+
+
 class TestExpectation:
     def test_identity(self):
         s = backend.prepare_state("basis:0")

@@ -158,3 +158,29 @@ def test_gated_infeasible_exit_3(ham_mix):
     assert run(["plan", "--ham", ham_mix, "--Delta", "0.3", "--eta", "0.8",
                 "--eps", "0.2", "--theta", "0.05", "--rmode", "gated",
                 "--g", "1.0"]) == 3
+
+
+class TestInputErrorsExit2:
+    def test_wide_basis_state(self, ham_z, capsys):
+        assert run(["ground-energy", "--ham", ham_z, "--state", "basis:" + "0" * 13,
+                    "--Delta", "0.1", "--eta", "1", "--xi", "0.1", "--seed", "1"]) == 2
+        assert "width 13 exceeds cap 12" in capsys.readouterr().err
+
+    def test_empty_amplitude_file(self, ham_z, tmp_path, capsys):
+        amps = tmp_path / "amps.txt"
+        amps.write_text("")
+        assert run(["ground-energy", "--ham", ham_z, "--state", f"file:{amps}",
+                    "--Delta", "0.1", "--eta", "1", "--xi", "0.1", "--seed", "1"]) == 2
+        assert "no amplitudes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, frag", [
+        ("nan X\n", "line 1: non-finite"),
+        ("inf X\n", "line 1: non-finite"),
+        ("1e308 X\n1e308 Z\n", "line 2: lambda overflows"),
+    ])
+    def test_non_finite_hamiltonian(self, tmp_path, capsys, text, frag):
+        ham = tmp_path / "h.txt"
+        ham.write_text(text)
+        assert run(["plan", "--ham", str(ham), "--Delta", "0.1", "--eta", "1",
+                    "--theta", "0.1"]) == 2
+        assert frag in capsys.readouterr().err

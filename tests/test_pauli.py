@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ class TestParse:
         ("# only a comment\n", "empty"),
     ])
     def test_errors(self, text, frag):
+        with pytest.raises(ValueError, match=frag):
+            parse_hamiltonian(text)
+
+    @pytest.mark.parametrize("text,frag", [
+        ("nan X", "line 1: non-finite"),
+        ("1.0 Z\n-inf X", "line 2: non-finite"),
+        ("1e308 X\n1e308 Z", "line 2: lambda overflows"),
+        ("1e308 X\n1e308 X", "line 2: lambda overflows"),
+    ])
+    def test_non_finite_rejected(self, text, frag):
         with pytest.raises(ValueError, match=frag):
             parse_hamiltonian(text)
 
@@ -129,6 +140,31 @@ class TestMatrix:
         for w, op in h.terms:
             ref += w * op.sign * kron_oracle(op.pauli.axes)
         np.testing.assert_allclose(h.matrix(), ref, atol=1e-13)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_bit_equal_to_term_matrix_sum(self, width):
+        # the scatter must reproduce sum_l w_l * P_l.matrix() in term order,
+        # down to the sign bits of zeros
+        h = random_hamiltonian(width, min(3, 2 * width) + width, seed=70 + width)
+        assert any(op.sign < 0 for _, op in h.terms)
+        assert any(op.pauli.y_count for _, op in h.terms)
+        ref = np.zeros((1 << width, 1 << width), dtype=complex)
+        for w, op in h.terms:
+            ref += w * op.matrix()
+        m = h.matrix()
+        assert np.array_equal(m, ref)
+        assert np.array_equal(np.signbit(m.real), np.signbit(ref.real))
+        assert np.array_equal(np.signbit(m.imag), np.signbit(ref.imag))
+
+    def test_peak_memory_one_dense_matrix(self):
+        h = random_hamiltonian(10, 40, seed=11)
+        tracemalloc.start()
+        try:
+            h.matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (1 << 20) * 16
 
     def test_hermitian(self):
         m = random_hamiltonian(4, 8, seed=2).matrix()

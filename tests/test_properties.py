@@ -1,6 +1,8 @@
 """Property tests over whole parameter ranges (need hypothesis)."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy import special
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from randqpe import heaviside, specfun  # noqa: E402
+from randqpe import backend, heaviside, pauli, specfun  # noqa: E402
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -33,3 +35,47 @@ def test_bessel_recurrence_matches_scipy_above_cutoff(beta):
     ref = special.ive(np.arange(nmax + 1), beta)
     seq = specfun.bessel_i_scaled_sequence(nmax, beta)
     assert np.max(np.abs(seq - ref)) <= 1e-10 * ref[0]
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                    st.sampled_from(["1e308", "-1e308", "0", "-0.0", "1_0", "0x1"]),
+                    _TEXT)
+_WORD = st.one_of(st.text("IXYZixyzQ", min_size=1, max_size=4), _TEXT)
+_HAM_LINE = st.one_of(st.tuples(_NUMBER, _WORD).map(" ".join), _TEXT)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(lines=st.lists(_HAM_LINE, max_size=6))
+def test_parse_hamiltonian_raises_only_value_error(lines):
+    try:
+        h = pauli.parse_hamiltonian("\n".join(lines))
+    except ValueError:
+        return
+    assert math.isfinite(h.lam) and h.lam > 0
+
+
+_AMP_LINE = st.one_of(st.tuples(_NUMBER, _NUMBER).map(" ".join), _TEXT)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(kind=st.sampled_from(["basis", "file", "groundmix", "other"]),
+       arg=_TEXT, bits=st.text("01x", max_size=13),
+       amp_lines=st.lists(_AMP_LINE, max_size=9), with_h=st.booleans())
+def test_prepare_state_raises_only_value_or_os_error(kind, arg, bits, amp_lines, with_h):
+    h = pauli.parse_hamiltonian("0.5 XZ\n-0.3 ZI\n0.2 YY") if with_h else None
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "basis":
+            spec = "basis:" + bits
+        elif kind == "file":
+            path = Path(tmp) / "amps.txt"
+            path.write_text("\n".join(amp_lines), encoding="utf-8")
+            spec = f"file:{path}" if amp_lines else "file:" + arg
+        else:
+            spec = (kind + ":" if kind == "groundmix" else "") + arg
+        try:
+            state = backend.prepare_state(spec, h)
+        except (ValueError, OSError):
+            return
+    assert state.width <= 12
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-10
