@@ -20,6 +20,12 @@ from .heaviside import FourierSeries, build_fourier, eval_fourier, optimize_spli
 from .lcu import segment_distribution, truncation_order
 from .pauli import Hamiltonian, index_action
 
+# collect_samples holds one block of records at a time.  Per amplitude the
+# state (complex), index (int64), phase and gather (complex) buffers cost
+# _BYTES_PER_AMP bytes; a block's buffers stay within _BLOCK_BYTES.
+_BYTES_PER_AMP = 56
+_BLOCK_BYTES = 8 << 20
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -143,15 +149,21 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     randomly compiled unitary for exp(i H t_j / lambda), then the test outcome.
 
     The segment draws follow the LCU sampler's distribution exactly
-    (truncated even orders, i.i.d. Pauli indices), evaluated in a batch: all
-    live records advance one segment per step, sum_i r_i state updates in
-    all.  Records are sorted by descending r_i, so the live records form a
-    prefix whose width m is constant over runs of steps, one run per distinct
-    r_i.  A step draws 2m uniforms (orders, then rotation terms), applies the
-    order-0 rotation to the whole prefix in place and redoes the rare
-    higher-order rows from pre-step copies.  For a fixed seed the record
-    stream is byte-identical across runs and releases (tests pin its
-    digest); a change to it must be stated.
+    (truncated even orders, i.i.d. Pauli indices), evaluated in batches.
+    Records are sorted by descending r_i and cut into consecutive blocks of
+    max(1, _BLOCK_BYTES // (56 * 2^n)) records, which run one after another
+    on state and work buffers allocated once at block size, so the state
+    memory of a call is bounded whatever c_sample is.  Within a block all
+    live records advance one segment per step, so the live records form a
+    prefix whose width m is constant over runs of steps, one run per
+    distinct r_i.  A step draws 2m uniforms (orders, then rotation terms),
+    applies the order-0 rotation to the whole prefix in place and redoes the
+    rare higher-order rows from pre-step copies.
+
+    For a fixed seed the record stream is byte-identical across runs and
+    releases (tests pin its digest); a change to it must be stated.  A call
+    with c_sample * 2^n * 56 B <= _BLOCK_BYTES is one block and draws the
+    stream of the unblocked loop; a larger one draws block by block.
     """
     if plan.h.width != state.width:
         raise ValueError("plan and state widths differ")
@@ -194,46 +206,54 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     # rotation sign = sgn(t); t = -j tau lam for +j records, +j tau lam for -j
     rot_sign = np.where(neg[order_idx], 1.0, -1.0)
 
-    psi = np.tile(psi0, (n_rec, 1))
+    # state and work buffers for one block of records, reused by every block
+    blk = min(n_rec, max(1, _BLOCK_BYTES // (dim * _BYTES_PER_AMP)))
+    psi = np.empty((blk, dim), dtype=complex)
     cos0 = np.cos(thetas[gid_s, 0])
     isin0 = 1j * np.sin(thetas[gid_s, 0]) * rot_sign
     q0 = q_cum[gid_s, 0]  # u <= q0: order 0 (cumulative columns are sorted)
-    flat, row_base = psi.reshape(-1), (np.arange(n_rec) * dim)[:, None]
-    idx_buf = np.empty((n_rec, dim), dtype=np.int64)
-    phase_buf, gath_buf = np.empty((2, n_rec, dim), dtype=complex)
-    done = 0
-    for r_end in np.unique(r_s):  # ascending; the live prefix shrinks after each
-        m = int(np.searchsorted(-r_s, -r_end, side="right"))
-        live, idx, phase, gath = psi[:m], idx_buf[:m], phase_buf[:m], gath_buf[:m]
-        cos_m, isin_m, q0_m, base = cos0[:m, None], isin0[:m, None], q0[:m], row_base[:m]
-        for _ in range(done, r_end):
-            u = rng.random(2 * m)
-            ells = np.searchsorted(cum_term, u[m:], side="right")
-            hi = np.flatnonzero(u[:m] > q0_m)
-            old = [live[row].copy() for row in hi]
-            np.take(g_tab, ells, axis=0, out=idx, mode="clip")
-            idx += base
-            np.take(flat, idx, out=gath, mode="clip")
-            np.take(f_tab, ells, axis=0, out=phase, mode="clip")
-            np.multiply(phase, gath, out=gath)
-            np.multiply(isin_m, gath, out=gath)
-            np.multiply(cos_m, live, out=live)
-            np.add(live, gath, out=live)
-            for row, prev in zip(hi, old):
-                ni = n_orders - 1 - int((u[row] <= q_cum[gid_s[row], :-1]).sum())
-                n = int(orders[ni])
-                th = float(thetas[gid_s[row], ni]) * rot_sign[row]
-                el0 = int(ells[row])
-                vec = (math.cos(th) * prev
-                       + (1j * math.sin(th)) * (f_tab[el0] * prev[g_tab[el0]]))
-                extra = np.searchsorted(cum_term, rng.random(n), side="right")
-                for el in extra:
-                    vec = f_tab[el] * vec[g_tab[el]]
-                if n % 4 != 0:
-                    vec = -vec
-                live[row] = vec
-        done = r_end
-    z = psi @ psi0.conj()
+    flat, row_base = psi.reshape(-1), (np.arange(blk) * dim)[:, None]
+    idx_buf = np.empty((blk, dim), dtype=np.int64)
+    phase_buf, gath_buf = np.empty((2, blk, dim), dtype=complex)
+    z = np.empty(n_rec, dtype=complex)
+    for start in range(0, n_rec, blk):
+        b = slice(start, min(start + blk, n_rec))
+        gid_b, r_b, sign_b, cos_b, isin_b, q0_b = (
+            a[b] for a in (gid_s, r_s, rot_sign, cos0, isin0, q0))
+        psi[:r_b.size] = psi0
+        done = 0
+        for r_end in np.unique(r_b):  # ascending; the live prefix shrinks after each
+            m = int(np.searchsorted(-r_b, -r_end, side="right"))
+            live, idx, phase, gath = psi[:m], idx_buf[:m], phase_buf[:m], gath_buf[:m]
+            cos_m, isin_m, q0_m, base = cos_b[:m, None], isin_b[:m, None], q0_b[:m], row_base[:m]
+            for _ in range(done, r_end):
+                u = rng.random(2 * m)
+                ells = np.searchsorted(cum_term, u[m:], side="right")
+                hi = np.flatnonzero(u[:m] > q0_m)
+                old = [live[row].copy() for row in hi]
+                np.take(g_tab, ells, axis=0, out=idx, mode="clip")
+                idx += base
+                np.take(flat, idx, out=gath, mode="clip")
+                np.take(f_tab, ells, axis=0, out=phase, mode="clip")
+                np.multiply(phase, gath, out=gath)
+                np.multiply(isin_m, gath, out=gath)
+                np.multiply(cos_m, live, out=live)
+                np.add(live, gath, out=live)
+                for row, prev in zip(hi, old):
+                    ni = n_orders - 1 - int((u[row] <= q_cum[gid_b[row], :-1]).sum())
+                    n = int(orders[ni])
+                    th = float(thetas[gid_b[row], ni]) * sign_b[row]
+                    el0 = int(ells[row])
+                    vec = (math.cos(th) * prev
+                           + (1j * math.sin(th)) * (f_tab[el0] * prev[g_tab[el0]]))
+                    extra = np.searchsorted(cum_term, rng.random(n), side="right")
+                    for el in extra:
+                        vec = f_tab[el] * vec[g_tab[el]]
+                    if n % 4 != 0:
+                        vec = -vec
+                    live[row] = vec
+            done = r_end
+        z[b] = psi[:r_b.size] @ psi0.conj()
     p_re = np.clip(0.5 * (1.0 + z.real), 0.0, 1.0)
     p_im = np.clip(0.5 * (1.0 + z.imag), 0.0, 1.0)
     m_re = np.where(rng.random(n_rec) < p_re, 1.0, -1.0)

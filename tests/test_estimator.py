@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import randqpe as rq
 from conftest import random_hamiltonian
@@ -15,6 +17,37 @@ def small_plan(h, eta=0.8, eps=0.2, theta=0.05, Delta_frac=0.3, rmode="total",
                delta_scale=1.0):
     return estimator.build_plan(h, Delta_frac * h.lam, eta, eps, theta,
                                 rmode=rmode, delta_scale=delta_scale)
+
+
+def record_means(plan, h, state):
+    """Exact E[m] per signed index group: plan.js in order for +j, then for -j.
+
+    A segment of length x = t/r averages to T(i x H / lambda) / mu_segment,
+    with T the Taylor polynomial of exp through order M + 1, so a record's
+    unitary averages to T^r / mu_j.  That is diagonal in H's eigenbasis and
+    E[m] = <psi|E[U]|psi> = sum_k w_k T(i x E_k / lambda)^r / mu_j.
+    """
+    spec = backend.exact_spectrum(h, state)
+    t = np.concatenate([plan.times, -plan.times])
+    r = np.concatenate([plan.rvec, plan.rvec])
+    y = 1j * (t / r)[:, None] * spec.eigenvalues[None, :] / h.lam
+    term, taylor = np.ones_like(y), np.ones_like(y)
+    for n in range(1, plan.M + 2):
+        term = term * y / n
+        taylor = taylor + term
+    return (taylor ** r[:, None]) @ spec.overlaps / np.concatenate([plan.mu, plan.mu])
+
+
+def block_count(plan, state):
+    rows = max(1, estimator._BLOCK_BYTES // ((1 << state.width) * estimator._BYTES_PER_AMP))
+    return -(-plan.complexities.c_sample // rows)
+
+
+def budget_for_fifths(monkeypatch, plan, state):
+    """Shrink the block budget so that a block holds a fifth of the records."""
+    rows = plan.complexities.c_sample // 5
+    monkeypatch.setattr(estimator, "_BLOCK_BYTES",
+                        rows * (1 << state.width) * estimator._BYTES_PER_AMP)
 
 
 class TestBuildPlan:
@@ -136,6 +169,67 @@ class TestCollectSamples:
                 plan, seed = dataclasses.replace(plan, M=0, mu=mu0), 8
         rec = estimator.collect_samples(plan, s, derive_rng(seed))
         assert hashlib.sha256(rec.js.tobytes() + rec.m.tobytes()).hexdigest() == digest
+
+    def test_multi_block_stream_golden(self, monkeypatch):
+        # Pins a stream drawn in 5 blocks; the unblocked goldens above stay
+        # one block at the default budget.
+        h = random_hamiltonian(3, 5, seed=41)
+        s = backend.prepare_state("groundmix:0.8", h)
+        plan = small_plan(h)
+        budget_for_fifths(monkeypatch, plan, s)
+        assert block_count(plan, s) >= 5
+        rec = estimator.collect_samples(plan, s, derive_rng(5))
+        assert hashlib.sha256(rec.js.tobytes() + rec.m.tobytes()).hexdigest() == (
+            "d2ff4583571c90f21e6378296c318b369c9700ed5779fedad84c1b201c5b7393")
+
+    def test_multi_block_group_means_match_oracle(self, monkeypatch):
+        # Five or six blocks per run: per signed group, the means of Re m and
+        # Im m against the exact record mean, chi-squared over every group
+        # with at least 30 records (8 runs, about 33,000 records).
+        h = random_hamiltonian(3, 6, seed=71)
+        s = backend.prepare_state("groundmix:0.6", h)
+        plan = estimator.build_plan(h, 0.3 * h.lam, 0.8, 0.2, 1e-12, rmode="total")
+        budget_for_fifths(monkeypatch, plan, s)
+        assert block_count(plan, s) >= 5
+        exact = record_means(plan, h, s)
+        d = len(plan.js)
+        sums, counts = np.zeros(2 * d, dtype=complex), np.zeros(2 * d)
+        for i in range(8):
+            rec = estimator.collect_samples(plan, s, derive_rng(71, i))
+            group = (np.abs(rec.js) - 1) // 2 + np.where(rec.js < 0, d, 0)
+            sums += np.bincount(group, weights=rec.m.real, minlength=2 * d)
+            sums += 1j * np.bincount(group, weights=rec.m.imag, minlength=2 * d)
+            counts += np.bincount(group, minlength=2 * d)
+        keep = counts >= 30
+        assert keep.sum() >= 10
+        mean, n, mu = sums[keep] / counts[keep], counts[keep], exact[keep]
+        z = np.concatenate([(mean.real - mu.real) / np.sqrt((1 - mu.real ** 2) / n),
+                            (mean.imag - mu.imag) / np.sqrt((1 - mu.imag ** 2) / n)])
+        assert chi2.sf(float(z @ z), z.size) > 1e-6, z
+
+    def test_peak_memory_bounded_in_c_sample(self):
+        # At 10 qubits one record's state and work buffers take 56 KiB; the
+        # peak must stay within the block budget plus the term tables (a
+        # stacked copy and the cached per-term actions) plus O(n_rec), and
+        # must not grow with c_sample.
+        h = random_hamiltonian(10, 40, seed=1010)
+        s = backend.prepare_state("basis:0110100101")
+        plans = [estimator.build_plan(h, 0.3 * h.lam, 0.8, 0.2, theta)
+                 for theta in (0.05, 1e-4)]
+        n_small, n_large = (p.complexities.c_sample for p in plans)
+        assert n_large >= 3 * n_small and block_count(plans[0], s) >= 2
+        tables = 2 * len(h.terms) * (1 << h.width) * 24
+        peaks = []
+        for plan in plans:
+            tracemalloc.start()
+            try:
+                estimator.collect_samples(plan, s, derive_rng(2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_record = 1024  # index, sign, order and outcome arrays take ~250 B
+        assert peaks[0] <= estimator._BLOCK_BYTES + tables + per_record * n_small
+        assert peaks[1] <= peaks[0] + per_record * (n_large - n_small)
 
     def test_sign_symmetry(self):
         h = random_hamiltonian(2, 3, seed=45)
