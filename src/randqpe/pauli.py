@@ -151,7 +151,8 @@ def pauli_multiply(a: SignedPauli, b: SignedPauli):
     return _QUARTER[power % 4], prod
 
 
-@functools.lru_cache(maxsize=4096)
+# perm and phase take 24 B per amplitude: at most 64 MiB of 12-qubit tables
+@functools.lru_cache(maxsize=(64 << 20) // (24 << DENSE_QUBIT_CAP))
 def _index_action(x_bits: int, z_bits: int, width: int, sign: int):
     """Index-space action of a signed Pauli: P|i> = phase(i) |i XOR x_bits>.
 

@@ -4,7 +4,9 @@ All operations work on parallel arrays over the sampled Fourier indices
 (zero-time indices excluded by the caller): `weights` holds |F_j| and
 `times` holds t_j.  The relaxed real-valued problem uses the analytic
 weight bound u_j = exp(t_j^2 / r_j); results are rounded to integers and
-reported with exact truncated weights on request.
+reported with exact truncated weights on request.  The optimizers evaluate
+the expected gate count S(r) through one evaluator per (weights, times),
+`_Gates`, and hand it to their brentq objectives through args=.
 """
 
 from __future__ import annotations
@@ -62,20 +64,61 @@ def constant_weight(times) -> np.ndarray:
     return np.maximum(np.ceil(2.0 * t * t), 1.0).astype(np.int64)
 
 
-def _r_of_s(t2: np.ndarray, s: float) -> np.ndarray:
-    return 0.5 * t2 * (1.0 + np.sqrt(1.0 + 4.0 * s / t2))
-
-
 def weight_and_gates(weights, mu, r) -> tuple[float, float]:
-    """A = sum w mu and c_gate = sum w mu r / A, with no validation and one pass
-    each: the runtime optimizers call this hundreds of times over ~1e6 indices."""
+    """A = sum w mu and c_gate = sum w mu r / A, with no validation."""
     wmu = weights * mu
     a = float(wmu.sum())
     return a, float((wmu * r).sum() / a)
 
 
-def _S(weights, t2, r) -> float:
-    return weight_and_gates(weights, np.exp(t2 / r), r)[1]
+class _Gates:
+    """S(r) = sum w u r / sum w u, u = exp(t^2/r), on two reused buffers.
+
+    R(s) = (t^2/2)(1 + sqrt(1 + 4s/t^2)) is clamped to max(1, |t|) if `clamp`,
+    only where |t| < 2: for s >= -t_min^2/4, R(s) >= t^2/2 >= |t| elsewhere.
+    """
+
+    def __init__(self, w, t, clamp: bool):
+        self.w, self.t2 = w, t * t
+        self.half_t2 = 0.5 * self.t2
+        self.head = np.flatnonzero(np.abs(t) < 2.0) if clamp else np.empty(0, np.intp)
+        self.lb_head = np.maximum(1.0, np.abs(t[self.head]))
+        self.r, self.u, self.memo = np.empty_like(t), np.empty_like(t), {}
+
+    def r_of_s(self, s: float) -> np.ndarray:
+        """R(s) in a buffer that the next call overwrites."""
+        r = np.divide(4.0 * s, self.t2, out=self.r)
+        r += 1.0
+        np.sqrt(r, out=r)
+        r += 1.0
+        r *= self.half_t2
+        r[self.head] = np.maximum(r[self.head], self.lb_head)
+        return r
+
+    def at(self, s: float) -> float:
+        """S(R(s)), memoized by s."""
+        if s not in self.memo:
+            self.memo[s] = self.of_r(self.r_of_s(s))
+        return self.memo[s]
+
+    def of_r(self, r) -> float:
+        """S(r): the optimizers evaluate S here and nowhere else."""
+        u = np.divide(self.t2, r, out=self.u)
+        np.exp(u, out=u)
+        u *= self.w
+        a = float(u.sum())
+        u *= r
+        return float(u.sum() / a)
+
+
+# brentq wraps its objective in a closure that references itself; module-level
+# objectives with state in args= keep that cycle from holding arrays until gc
+def _gap(s, gates):
+    return gates.at(s) - s
+
+
+def _gap_in_ln(y, gates, s_min, target):
+    return gates.at(s_min + math.exp(y)) - target
 
 
 def minimize_total(weights, times) -> np.ndarray:
@@ -84,42 +127,35 @@ def minimize_total(weights, times) -> np.ndarray:
     Stationarity gives r_j = (t_j^2/2)(1 + sqrt(1 + 4 s / t_j^2)) where the
     scalar s solves s = S(R(s)); s is bracketed in (0, 2 t_max^2].
     """
-    t = np.asarray(times, dtype=float)  # solve_fixed_point validates
-    r_real = _r_of_s(t * t, solve_fixed_point(weights, times))
+    gates = _Gates(*_validate(weights, times), clamp=False)
+    r_real = gates.r_of_s(_fixed_point(gates))
     return np.maximum(np.round(r_real), 1.0).astype(np.int64)
 
 
 def fixed_point_residual(weights, times, s: float) -> float:
     """|s - S(R(s))| / s, for tests of the fixed-point solve."""
-    w, t = _validate(weights, times)
-    t2 = t * t
-    return abs(_S(w, t2, _r_of_s(t2, s)) - s) / abs(s)
+    return abs(_gap(s, _Gates(*_validate(weights, times), clamp=False))) / abs(s)
 
 
 def solve_fixed_point(weights, times) -> float:
     """The scalar s* behind minimize_total (pre-rounding)."""
-    w, t = _validate(weights, times)
-    t2 = t * t
-    tmax2 = float(t2.max())
-    lo = 0.5 * min(float(t2.min()), tmax2 * 1e-12)
+    return _fixed_point(_Gates(*_validate(weights, times), clamp=False))
+
+
+def _fixed_point(gates) -> float:
+    tmax2 = float(gates.t2.max())
+    lo = 0.5 * min(float(gates.t2.min()), tmax2 * 1e-12)
     hi = 2.0 * tmax2 * (1.0 + 1e-9)
-
-    def gap(s):
-        return _S(w, t2, _r_of_s(t2, s)) - s
-
-    if gap(hi) > 0.0:
+    if _gap(hi, gates) > 0.0:
         return hi
-    return brentq(gap, lo, hi, rtol=1e-14, maxiter=200)
+    return brentq(_gap, lo, hi, args=(gates,), rtol=1e-14, maxiter=200)
 
 
 def gate_floor(weights, times) -> float:
     """Smallest expected gate count reachable by the constrained family."""
-    w, t = _validate(weights, times)
-    t2 = t * t
-    lb = np.maximum(1.0, np.abs(t))
-    s_min = -0.25 * float(t2.min())
-    r = np.maximum(_r_of_s(t2, s_min * (1.0 - 1e-15)), lb)
-    return _S(w, t2, r)
+    gates = _Gates(*_validate(weights, times), clamp=True)
+    s_min = -0.25 * float(gates.t2.min())
+    return gates.at(s_min * (1.0 - 1e-15))
 
 
 def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarray:
@@ -135,14 +171,10 @@ def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarra
     w, t = _validate(weights, times)
     if g < 1.0:
         raise FeasibilityError("gate budget below one rotation per circuit")
-    t2 = t * t
+    gates = _Gates(w, t, clamp=True)
     lb = np.maximum(1.0, np.abs(t))
-    s_min = -0.25 * float(t2.min()) * (1.0 - 1e-15)
-
-    def r_clamped(s):
-        return np.maximum(_r_of_s(t2, s), lb)
-
-    floor = _S(w, t2, r_clamped(s_min))
+    s_min = -0.25 * float(gates.t2.min()) * (1.0 - 1e-15)
+    floor = gates.at(s_min)
     if g < floor * (1.0 - 1e-12):
         raise FeasibilityError(f"gate budget {g:.6g} below feasibility floor {floor:.6g}")
     target = g
@@ -150,25 +182,25 @@ def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarra
         if floor >= target:
             s_star = s_min
         else:
-            hi = max(2.0 * float(t2.max()), 4.0 * target)
+            hi = max(2.0 * float(gates.t2.max()), 4.0 * target)
+            # tested where brentq will evaluate its upper end, so that is a memo hit
             for _ in range(200):
-                if _S(w, t2, r_clamped(hi)) >= target:
+                if gates.at(s_min + math.exp(math.log(hi - s_min))) >= target:
                     break
                 hi *= 2.0
             # in y = ln(s - s_min); at the lower end s_min + e^y rounds to s_min
             s_star = s_min + math.exp(brentq(
-                lambda y: _S(w, t2, r_clamped(s_min + math.exp(y))) - target,
-                math.log(-s_min) - 40.0, math.log(hi - s_min),
-                xtol=1e-15, rtol=1e-15, maxiter=200))
-        r = np.maximum(np.round(r_clamped(s_star)), np.ceil(lb - 1e-9)).astype(np.int64)
-        feasible = _S(w, t2, r.astype(float)) <= g * (1.0 + slack)
+                _gap_in_ln, math.log(-s_min) - 40.0, math.log(hi - s_min),
+                args=(gates, s_min, target), xtol=1e-15, rtol=1e-15, maxiter=200))
+        r = np.maximum(np.round(gates.r_of_s(s_star)), np.ceil(lb - 1e-9)).astype(np.int64)
+        feasible = gates.of_r(r.astype(float)) <= g * (1.0 + slack)
         if feasible or floor >= target:  # past the floor every retry repeats s_min
             break
         target *= 0.98
     if not feasible:
         raise FeasibilityError("rounding could not satisfy the gate budget")
     if r.size <= 256:
-        r = _polish(w, t2, lb, r, g * (1.0 + slack))
+        r = _polish(w, gates.t2, lb, r, g * (1.0 + slack))
     return r
 
 

@@ -56,19 +56,18 @@ def bessel_i_scaled_sequence(nmax: int, beta: float) -> np.ndarray:
         raise ValueError("nmax must be non-negative")
     if beta <= _IVE_DIRECT_MAX:
         return _sp.ive(np.arange(nmax + 1), beta)
-    out = np.empty(nmax + 1)
-    out[0] = _ive_asymptotic(0, beta)
-    if nmax == 0:
-        return out
-    out[1] = _ive_asymptotic(1, beta)
-    prev, cur = out[0], out[1]
+    # Python floats appended to a list and copied once: indexing into the
+    # array per order cost about as much as the recurrence itself
+    vals = [_ive_asymptotic(0, beta), _ive_asymptotic(1, beta)][:nmax + 1]
+    prev, cur = vals[0], vals[-1]
     inv = 2.0 / beta
     for n in range(1, nmax):
         prev, cur = cur, prev - inv * n * cur
         if cur <= 1e-306:
-            out[n + 1:] = 0.0
-            return out
-        out[n + 1] = cur
+            break
+        vals.append(cur)
+    out = np.zeros(nmax + 1)
+    out[:len(vals)] = vals
     return out
 
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_hamiltonian
-from randqpe.pauli import (Hamiltonian, PauliString, SignedPauli,
-                           parse_hamiltonian, pauli_multiply)
+from randqpe import backend, estimator
+from randqpe._rng import derive_rng
+from randqpe.pauli import (DENSE_QUBIT_CAP, Hamiltonian, PauliString, SignedPauli,
+                           _index_action, parse_hamiltonian, pauli_multiply)
 
 _MATS = {
     "I": np.eye(2, dtype=complex),
@@ -185,3 +187,22 @@ class TestMatrix:
                 v /= np.linalg.norm(v)
             norm = float(np.linalg.norm(m @ v))
             assert norm <= h.lam * (1 + 1e-9)
+
+
+class TestIndexActionCache:
+    def test_full_cache_bytes_bounded_at_qubit_cap(self):
+        perm, phase = _index_action(1, 3, DENSE_QUBIT_CAP, 1)
+        entry = perm.nbytes + phase.nbytes
+        assert _index_action.cache_info().maxsize * entry <= 64 << 20
+
+    def test_task_reuses_its_tables(self):
+        # an estimate-cdf-sized task: the dense matrix for the state, then the
+        # sampler's tables for the same terms
+        h = random_hamiltonian(10, 40, seed=7)
+        _index_action.cache_clear()
+        state = backend.prepare_state("groundmix:0.6", h)
+        plan = estimator.build_plan(h, 0.25 * h.lam, 0.6, 0.2, 0.05)
+        estimator.collect_samples(plan, state, derive_rng(3))
+        info = _index_action.cache_info()
+        assert info.misses == len(h.terms)
+        assert info.hits >= len(h.terms)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,3 +126,21 @@ def test_curve_optimum_matches_build_plan(b):
     (opt,) = resources.tradeoff_curve(lam, Delta, eta, [eps], b=b, g_grid=[])
     assert opt.flag_optimal
     assert opt.c_gate == c_gate
+
+
+def test_curve_retains_nothing_without_cyclic_gc():
+    # brentq wraps its objective in a self-referencing closure; nothing the
+    # runtime solves allocate may stay reachable from that cycle
+    *_, times, _ = estimator._window(1511.0, 0.16, 1.0, 0.2)
+    resources.tradeoff_curve(1511.0, 0.16, 1.0, [0.2], n_grid=10)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        resources.tradeoff_curve(1511.0, 0.16, 1.0, [0.2], n_grid=10)
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left <= 2 * times.nbytes

@@ -56,6 +56,29 @@ class TestBessel:
             ref = float(mpmath.besseli(n, beta, derivative=0) * mpmath.exp(-beta))
             assert seq[n] == pytest.approx(ref, rel=1e-8)
 
+    def test_recurrence_bit_equal_to_array_loop(self):
+        def array_loop(nmax, beta):
+            # reference: the same recurrence writing each order into the array
+            out = np.empty(nmax + 1)
+            out[0] = specfun._ive_asymptotic(0, beta)
+            if nmax == 0:
+                return out
+            out[1] = specfun._ive_asymptotic(1, beta)
+            prev, cur = out[0], out[1]
+            inv = 2.0 / beta
+            for n in range(1, nmax):
+                prev, cur = cur, prev - inv * n * cur
+                if cur <= 1e-306:
+                    out[n + 1:] = 0.0
+                    return out
+                out[n + 1] = cur
+            return out
+
+        for nmax, beta in ((0, 2e8), (1, 2e8), (2, 2e8), (40_000, 1.6e11), (200_000, 1.5e8)):
+            ref = array_loop(nmax, beta)
+            assert np.array_equal(specfun.bessel_i_scaled_sequence(nmax, beta), ref)
+        assert ref[-1] == 0.0 and ref[0] > 0.0  # the last case stops on underflow
+
     def test_kasperkovitz_bound(self, rng):
         for beta in (1.0, 4.0, 30.0, 1000.0):
             for j in rng.integers(0, int(3 * math.sqrt(beta)) + 5, size=8):
