@@ -6,9 +6,8 @@ from .backend import (SpectralData, StateVector, exact_cdf, exact_spectrum,
 from .estimator import (GroundEnergyResult, Plan, SampleSet, acdf_estimate,
                         acdf_exact, build_plan, collect_samples, ground_energy,
                         threshold_query)
-from .heaviside import (ApproxParams, ChebSeries, FourierSeries, build_cheb,
-                        build_fourier, certification_report, eval_cheb_p,
-                        eval_cheb_q, eval_fourier, optimize_split,
+from .heaviside import (ApproxParams, FourierSeries, build_fourier,
+                        certification_report, eval_fourier, optimize_split,
                         select_parameters)
 from .lcu import (LcuUnitary, PauliOp, PauliRotation, Phase, SegmentDistribution,
                   parse_lcu, sample_unitary, segment_distribution,

@@ -102,18 +102,27 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
         if h.width > max_width:
             raise ValueError(f"width {h.width} exceeds cap {max_width}")
         dim, tol = 1 << h.width, 1e-9 * h.lam
-        # H^T = conj(H) is Fortran-ordered, so LAPACK solves it in place
-        # without a copy; conjugating its eigenvectors gives those of H
-        evals, evecs = scipy.linalg.eigh(h.matrix(max_width).T, overwrite_a=True, driver="evr",
-                                         subset_by_index=[0, min(8, dim) - 1])
-        if len(evals) < dim and evals[-1] <= evals[0] + tol:
-            evals, evecs = scipy.linalg.eigh(h.matrix(max_width).T, overwrite_a=True, driver="evr")
-        gspace = evecs[:, evals <= evals[0] + tol].conj()
-        if eta < 1.0 and gspace.shape[1] == dim:
+        if all(op.pauli.x_bits == 0 for _, op in h.terms):
+            # I/Z terms only: H is diagonal, and the basis states of its
+            # smallest entries span the ground space
+            diag = sum(c * index_action(op)[1].real for c, op in h.terms)
+            ground = diag <= diag.min() + tol
+            n_ground = int(ground.sum())
+        else:
+            # H^T = conj(H) is Fortran-ordered, so LAPACK solves it in place
+            # without a copy; conjugating its eigenvectors gives those of H
+            evals, evecs = scipy.linalg.eigh(h.matrix(max_width).T, overwrite_a=True,
+                                             driver="evr", subset_by_index=[0, min(8, dim) - 1])
+            if len(evals) < dim and evals[-1] <= evals[0] + tol:
+                evals, evecs = scipy.linalg.eigh(h.matrix(max_width).T, overwrite_a=True,
+                                                 driver="evr")
+            gspace = evecs[:, evals <= evals[0] + tol].conj()
+            ground, n_ground = None, gspace.shape[1]
+        if eta < 1.0 and n_ground == dim:
             raise ValueError("groundmix overlap below 1 needs a spectrum above the ground space")
         rng = np.random.Generator(np.random.PCG64(_GROUNDMIX_SEED))
         w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        pw = gspace @ (gspace.conj().T @ w)
+        pw = gspace @ (gspace.conj().T @ w) if ground is None else np.where(ground, w, 0.0)
         g = pw / np.linalg.norm(pw)
         if eta == 1.0:
             return StateVector(g, h.width)

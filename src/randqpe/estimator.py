@@ -74,7 +74,11 @@ def _window(lam: float, Delta: float, b: float, eps: float, delta_scale: float =
     delta = delta_scale * tau * Delta
     series = build_fourier(optimize_split(delta, eps))
     js = 2 * np.arange(series.d + 1, dtype=np.int64) + 1
-    return tau, delta, series, js, -js * tau * lam, 2.0 * series.odd_abs
+    times, weights = -js * tau * lam, 2.0 * series.odd_abs
+    # read-only, so the runtime solves may share their S(r) memo across calls
+    for arr in (js, times, weights):
+        arr.flags.writeable = False
+    return tau, delta, series, js, times, weights
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Certified Fourier and Chebyshev approximations to the Heaviside step.
+"""Certified Fourier approximation to the Heaviside step.
 
 The Fourier series lives on odd frequencies {0} U {+-(2j+1)} for
 j = 0..d.  Its coefficients come from scaled modified Bessel functions;
@@ -80,18 +80,6 @@ class FourierSeries:
         return out
 
 
-@dataclass(frozen=True)
-class ChebSeries:
-    """Odd-order Chebyshev coefficients of Q (erf approximant); P = (Q+1)/2."""
-
-    beta: float
-    d: int
-    q_odd: np.ndarray  # coefficient of T_{2j+1}, j = 0..d
-
-    def __post_init__(self):
-        self.q_odd.flags.writeable = False
-
-
 def select_parameters(delta: float, eps1: float, eps2: float, eps3: float) -> ApproxParams:
     """Pick (beta, t, d) certifying the three error contributions.
 
@@ -104,6 +92,8 @@ def select_parameters(delta: float, eps1: float, eps2: float, eps3: float) -> Ap
     if min(eps1, eps2, eps3) <= 0.0:
         raise ValueError("eps components must be positive")
     beta, w1, t = _beta_w1_t(delta, eps1, eps2, eps3)
+    if t == math.inf:
+        raise ValueError(f"delta = {delta:.6g} is too small: the filter degree overflows")
     t_int = math.ceil(t)
     d = max(1, math.ceil(math.sqrt(t_int * w1)))
     return ApproxParams(delta, eps1, eps2, eps3, beta, w1, t_int, d)
@@ -111,7 +101,9 @@ def select_parameters(delta: float, eps1: float, eps2: float, eps3: float) -> Ap
 
 def _beta_w1_t(delta: float, eps1: float, eps2: float, eps3: float):
     """beta, W(8/(pi eps1^2)) and the real-valued Poisson-tail threshold t."""
-    beta = max(specfun.lambert_w0(2.0 / (math.pi * eps3 ** 2)) / (4.0 * math.sin(delta) ** 2), 1.0)
+    w3 = specfun.lambert_w0(2.0 / (math.pi * eps3 ** 2))
+    sin2 = math.sin(delta) ** 2  # 0.0 below delta = 1.5e-154, where beta overflows
+    beta = max(w3 / (4.0 * sin2), 1.0) if sin2 else math.inf
     w1 = specfun.lambert_w0(8.0 / (math.pi * eps1 ** 2))
     eff = math.sqrt(2.0 * math.pi * w1) * eps2
     t = specfun.f_threshold(beta, eff) if eff < 1.0 else beta
@@ -125,6 +117,9 @@ def _d_continuous(delta: float, eps1: float, eps2: float, eps3: float) -> float:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# largest filter degree optimize_split returns: over 10x the heavy-molecule
+# d = 749,048, and 64 MiB per array of length d
+MAX_DEGREE = 1 << 23
 
 
 def _golden_min(fun, lo, hi, iters=40):
@@ -150,8 +145,11 @@ def optimize_split(delta: float, eps: float, grid: int = 20) -> ApproxParams:
 
     Simplex grid search followed by golden-section refinement along each
     of the two free axes; never returns a split worse than the equal one.
+    ValueError if the chosen split needs d > MAX_DEGREE.
     """
-    if eps <= 0:
+    if not 0.0 < delta < math.pi / 2:
+        raise ValueError("delta must lie in (0, pi/2)")
+    if not eps > 0:
         raise ValueError("eps must be positive")
     total = 2.0 * eps
     candidates = [(total / 3.0, total / 3.0)]
@@ -171,16 +169,11 @@ def optimize_split(delta: float, eps: float, grid: int = 20) -> ApproxParams:
     e2 = _golden_min(lambda a: _d_continuous(delta, e1, a, total - e1 - a), lo2, hi2)
     candidates.append((e1, e2))
     results = [select_parameters(delta, a, b, total - a - b) for a, b in candidates]
-    return min(results, key=lambda p: (p.d, p.t_int))
-
-
-def _bessel_numerator(beta: float, d: int) -> np.ndarray:
-    """ive_j + ive_{j+1} for j < d and ive_d at j = d, shared by both series."""
-    iv = specfun.bessel_i_scaled_sequence(d, beta)
-    num = np.empty(d + 1)
-    num[:d] = iv[:d] + iv[1:d + 1]
-    num[d] = iv[d]
-    return num
+    best = min(results, key=lambda p: (p.d, p.t_int))
+    if best.d > MAX_DEGREE:
+        raise ValueError(f"filter degree d = {best.d} exceeds the cap {MAX_DEGREE}; "
+                         f"a larger delta or eps gives a smaller d")
+    return best
 
 
 def build_fourier(params: ApproxParams) -> FourierSeries:
@@ -190,8 +183,12 @@ def build_fourier(params: ApproxParams) -> FourierSeries:
     with the single-Bessel form at j = d.
     """
     beta, d = params.beta, params.d
+    iv = specfun.bessel_i_scaled_sequence(d, beta)
+    num = np.empty(d + 1)
+    num[:d] = iv[:d] + iv[1:d + 1]
+    num[d] = iv[d]
     k = 2.0 * np.arange(d + 1) + 1.0
-    odd_abs = math.sqrt(beta / (2.0 * math.pi)) * _bessel_numerator(beta, d) / k
+    odd_abs = math.sqrt(beta / (2.0 * math.pi)) * num / k
     return FourierSeries(beta=beta, d=d, odd_abs=odd_abs, params=params)
 
 
@@ -212,28 +209,6 @@ def eval_fourier(series: FourierSeries, x):
         raise ArithmeticError("imaginary residue too large")
     out = total.real
     return float(out[0]) if np.isscalar(x) else out
-
-
-def build_cheb(params: ApproxParams) -> ChebSeries:
-    """Chebyshev coefficients of the erf approximant Q on odd orders."""
-    beta, d = params.beta, params.d
-    num = _bessel_numerator(beta, d)
-    j = np.arange(d + 1)
-    signs = np.where(j % 2 == 0, 1.0, -1.0)
-    q_odd = 2.0 * math.sqrt(2.0 * beta / math.pi) * signs * num / (2.0 * j + 1.0)
-    return ChebSeries(beta=beta, d=d, q_odd=q_odd)
-
-
-def eval_cheb_q(series: ChebSeries, x):
-    """Evaluate Q(x) = sum_j q_odd[j] T_{2j+1}(x)."""
-    coef = np.zeros(2 * series.d + 2)
-    coef[1::2] = series.q_odd
-    return np.polynomial.chebyshev.chebval(np.asarray(x, dtype=float), coef)
-
-
-def eval_cheb_p(series: ChebSeries, x):
-    """Step approximant P(x) = (Q(x) + 1) / 2."""
-    return 0.5 * (eval_cheb_q(series, x) + 1.0)
 
 
 def band_grid(delta: float, n: int = 2000) -> np.ndarray:

@@ -119,6 +119,8 @@ def tradeoff_curve(lam: float, Delta: float, eta: float, eps_list, b: float = 1.
     """
     if lam <= 0 or Delta <= 0:
         raise ValueError("lambda and Delta must be positive")
+    if not b >= 1.0:
+        raise ValueError("b must be >= 1")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     eps_list = list(eps_list)

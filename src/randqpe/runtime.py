@@ -12,6 +12,7 @@ the expected gate count S(r) through one evaluator per (weights, times),
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,51 @@ def weight_and_gates(weights, mu, r) -> tuple[float, float]:
     return a, float((wmu * r).sum() / a)
 
 
+# numpy sums a contiguous float64 array pairwise: a block of more than 128
+# entries splits at n2 = n//2 - (n//2) % 8.  _Gates sums leaves of at most
+# _LEAF entries of that tree, so its buffers stay cache-sized
+_LEAF = 1 << 16
+# entries a shared memo of S by s may hold before a new one replaces it
+_MEMO_CAP = 4096
+# (weakref to weights, weakref to times, clamp, memo) of the last problem
+# whose arrays were read-only
+_slot = None
+
+
+def _shared_memo(w, t, clamp: bool) -> dict:
+    """Memo of S by s, shared by every _Gates on the same read-only arrays.
+
+    A curve's gate_floor and minimize_samples calls then evaluate the floor
+    and the usual first upper bracket once.  The slot holds weak references
+    and floats only, and arrays that may change get a memo of their own.
+    """
+    global _slot
+    if any(a.flags.writeable or not a.flags.owndata for a in (w, t)):
+        return {}
+    if _slot is not None:
+        ref_w, ref_t, slot_clamp, memo = _slot
+        if ref_w() is w and ref_t() is t and slot_clamp == clamp and len(memo) < _MEMO_CAP:
+            return memo
+    memo = {}
+    _slot = (weakref.ref(w), weakref.ref(t), clamp, memo)
+    return memo
+
+
 class _Gates:
-    """S(r) = sum w u r / sum w u, u = exp(t^2/r), on two reused buffers.
+    """S(r) = sum w u r / sum w u, u = exp(t^2/r), evaluated leaf by leaf.
 
     R(s) = (t^2/2)(1 + sqrt(1 + 4s/t^2)) is clamped to max(1, |t|) if `clamp`,
     only where |t| < 2: for s >= -t_min^2/4, R(s) >= t^2/2 >= |t| elsewhere.
+
+    Both sums walk the leaves of the tree that numpy's pairwise summation
+    uses on a contiguous float64 array: blocks of more than _LEAF entries
+    split at n2 = n//2 - (n//2) % 8, and the leaf sums are added as
+    (left) + (right).  A leaf runs the whole-array operations in the same
+    order on _LEAF-entry buffers.  So S has the bits of
+    (w u r).sum() / (w u).sum() over whole arrays, with no whole-array
+    temporary; a test pins this against numpy.  r_of_s alone returns a
+    whole array.  S is memoized by s, and the memo is shared across calls
+    on the same read-only arrays (_shared_memo).
     """
 
     def __init__(self, w, t, clamp: bool):
@@ -83,32 +124,56 @@ class _Gates:
         self.half_t2 = 0.5 * self.t2
         self.head = np.flatnonzero(np.abs(t) < 2.0) if clamp else np.empty(0, np.intp)
         self.lb_head = np.maximum(1.0, np.abs(t[self.head]))
-        self.r, self.u, self.memo = np.empty_like(t), np.empty_like(t), {}
+        leaf = min(t.size, _LEAF)
+        self.rb, self.ub = np.empty(leaf), np.empty(leaf)
+        self.memo = _shared_memo(w, t, clamp)
 
-    def r_of_s(self, s: float) -> np.ndarray:
-        """R(s) in a buffer that the next call overwrites."""
-        r = np.divide(4.0 * s, self.t2, out=self.r)
+    def _fill_r(self, s: float, lo: int, hi: int, out) -> np.ndarray:
+        """R(s) on the entries lo:hi, written to out."""
+        r = np.divide(4.0 * s, self.t2[lo:hi], out=out)
         r += 1.0
         np.sqrt(r, out=r)
         r += 1.0
-        r *= self.half_t2
-        r[self.head] = np.maximum(r[self.head], self.lb_head)
+        r *= self.half_t2[lo:hi]
+        k0, k1 = np.searchsorted(self.head, (lo, hi))
+        head = self.head[k0:k1] - lo
+        r[head] = np.maximum(r[head], self.lb_head[k0:k1])
         return r
+
+    def r_of_s(self, s: float) -> np.ndarray:
+        """R(s) as a new whole array."""
+        return self._fill_r(s, 0, self.t2.size, np.empty_like(self.t2))
 
     def at(self, s: float) -> float:
         """S(R(s)), memoized by s."""
         if s not in self.memo:
-            self.memo[s] = self.of_r(self.r_of_s(s))
+            self.memo[s] = self.evaluate(
+                lambda lo, hi: self._fill_r(s, lo, hi, self.rb[:hi - lo]))
         return self.memo[s]
 
     def of_r(self, r) -> float:
-        """S(r): the optimizers evaluate S here and nowhere else."""
-        u = np.divide(self.t2, r, out=self.u)
+        """S(r) for a whole runtime vector r."""
+        return self.evaluate(lambda lo, hi: r[lo:hi])
+
+    def evaluate(self, r_leaf) -> float:
+        """S from r_leaf(lo, hi), the runtime entries lo:hi: every S(r) the
+        optimizers use is evaluated here."""
+        a, b = self._walk(r_leaf, 0, self.t2.size)
+        return b / a
+
+    def _walk(self, r_leaf, lo: int, n: int) -> tuple[float, float]:
+        if n > _LEAF:
+            n2 = n // 2 - (n // 2) % 8
+            a1, b1 = self._walk(r_leaf, lo, n2)
+            a2, b2 = self._walk(r_leaf, lo + n2, n - n2)
+            return a1 + a2, b1 + b2
+        r = r_leaf(lo, lo + n)
+        u = np.divide(self.t2[lo:lo + n], r, out=self.ub[:n])
         np.exp(u, out=u)
-        u *= self.w
+        u *= self.w[lo:lo + n]
         a = float(u.sum())
         u *= r
-        return float(u.sum() / a)
+        return a, float(u.sum())
 
 
 # brentq wraps its objective in a closure that references itself; module-level
@@ -169,6 +234,8 @@ def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarra
     g, retrying at 2% lower targets; a failed retry at s_min is final.
     """
     w, t = _validate(weights, times)
+    if math.isnan(g) or g == math.inf:
+        raise ValueError(f"gate budget {g} is not a finite number")
     if g < 1.0:
         raise FeasibilityError("gate budget below one rotation per circuit")
     gates = _Gates(w, t, clamp=True)

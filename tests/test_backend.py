@@ -73,11 +73,17 @@ class TestGroundmix:
 
     @pytest.mark.parametrize("make_h, fold, solves", [
         (lambda: random_hamiltonian(3, 5, seed=41), 2, 1),
-        # k = 8 cannot confirm an 8-fold ground space, so the full solve runs
-        (lambda: rq.parse_hamiltonian("1.0 ZIII"), 8, 2),
-        (lambda: rq.parse_hamiltonian("1.0 Z"), 1, 1),
+        # a diagonal H (I/Z terms only) is read off its diagonal, with no solve
+        (lambda: rq.parse_hamiltonian("1.0 ZIII"), 8, 0),
+        (lambda: rq.parse_hamiltonian("1.0 Z"), 1, 0),
         (lambda: random_hamiltonian(8, 16, seed=42), 1, 1),
-    ], ids=["2-fold", "8-fold", "below-8-dims", "8-qubits"])
+        # k = 8 cannot confirm an 8-fold ground space, so the full solve runs
+        (lambda: rq.parse_hamiltonian("1.0 XIII"), 8, 2),
+        (lambda: rq.parse_hamiltonian("1.0 ZIIIIIIIII\n-0.3 IZZIIIIIII\n0.2 IIIIIIIIZI"),
+         128, 0),
+        (lambda: rq.parse_hamiltonian("1.0 ZIIIIIIIII"), 512, 0),
+    ], ids=["2-fold", "8-fold", "below-8-dims", "8-qubits", "8-fold-solved",
+            "diagonal-128-fold", "diagonal-512-fold"])
     @pytest.mark.parametrize("eta", [0.37, 1.0])
     def test_matches_projector_formula(self, monkeypatch, make_h, fold, solves, eta):
         h = make_h()

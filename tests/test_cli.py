@@ -162,6 +162,13 @@ class TestResourceCurve:
         assert run(["resource-curve", "--lambda", "4.0", "--Delta", "1.0",
                     "--eta", "1", "--eps", "0.6"]) == 2
 
+    def test_filter_degree_over_cap_exit_2(self, capsys):
+        # d would be about 1.2e12: 8.7 TiB for the first array of length d
+        assert run(["resource-curve", "--lambda", "1511", "--Delta", "1e-9",
+                    "--eta", "1", "--eps", "0.2", "--b", "1", "--ngrid", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "filter degree d = 1198471035830 exceeds the cap 8388608" in err
+
 
 def test_gated_infeasible_exit_3(ham_mix):
     assert run(["plan", "--ham", ham_mix, "--Delta", "0.3", "--eta", "0.8",

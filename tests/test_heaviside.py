@@ -128,35 +128,58 @@ class TestEval:
         assert scalar == heaviside.eval_fourier(s, np.array([0.25]))[0]
 
 
+def cheb_q_odd(params):
+    """Odd-order Chebyshev coefficients of the erf approximant Q, T_1 first.
+
+    q_{2j+1} = 2 sqrt(2 beta/pi) (-1)^j (ive_j + ive_{j+1}) / (2j+1) for
+    j < d, with the single-Bessel form at j = d; P = (Q + 1)/2 is the step.
+    """
+    beta, d = params.beta, params.d
+    iv = specfun.bessel_i_scaled_sequence(d, beta)
+    num = np.append(iv[:d] + iv[1:d + 1], iv[d])
+    j = np.arange(d + 1)
+    signs = np.where(j % 2 == 0, 1.0, -1.0)
+    return 2.0 * math.sqrt(2.0 * beta / math.pi) * signs * num / (2.0 * j + 1.0)
+
+
+def eval_cheb_q(q_odd, x):
+    coef = np.zeros(2 * q_odd.size)
+    coef[1::2] = q_odd
+    return np.polynomial.chebyshev.chebval(np.asarray(x, dtype=float), coef)
+
+
+def eval_cheb_p(q_odd, x):
+    return 0.5 * (eval_cheb_q(q_odd, x) + 1.0)
+
+
 class TestCheb:
+    """The Fourier filter against its Chebyshev counterpart, built here."""
+
     def test_p_at_zero(self):
         for delta, eps in ((0.4, 0.2), (0.15, 0.08)):
-            params = heaviside.optimize_split(delta, eps)
-            c = heaviside.build_cheb(params)
-            assert heaviside.eval_cheb_p(c, 0.0) == pytest.approx(0.5, abs=1e-12)
+            q = cheb_q_odd(heaviside.optimize_split(delta, eps))
+            assert eval_cheb_p(q, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_fourier_is_cheb_of_sine(self):
         params = heaviside.optimize_split(0.25, 0.12)
-        c = heaviside.build_cheb(params)
+        q = cheb_q_odd(params)
         f = heaviside.build_fourier(params)
         xs = np.linspace(-math.pi, math.pi, 1000)
-        np.testing.assert_allclose(heaviside.eval_cheb_p(c, np.sin(xs)),
+        np.testing.assert_allclose(eval_cheb_p(q, np.sin(xs)),
                                    heaviside.eval_fourier(f, xs), atol=1e-9)
 
     def test_t1_coefficient_beta2(self):
         p = heaviside.ApproxParams(delta=0.3, eps1=0.1, eps2=0.1, eps3=0.1,
                                    beta=2.0, w_eps1=1.0, t_int=2, d=2)
-        c = heaviside.build_cheb(p)
         expect = 2 * math.sqrt(4 / math.pi) * (specfun.bessel_i_scaled(0, 2.0)
                                                + specfun.bessel_i_scaled(1, 2.0))
-        assert c.q_odd[0] == pytest.approx(expect, rel=1e-12)
+        assert cheb_q_odd(p)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_erf_approximation_bound(self):
         params = heaviside.select_parameters(0.4, 0.1, 0.05, 0.1)
-        c = heaviside.build_cheb(params)
         xs = np.linspace(-1, 1, 1501)
         err = np.abs(specfun.erf(math.sqrt(2 * params.beta) * xs)
-                     - heaviside.eval_cheb_q(c, xs))
+                     - eval_cheb_q(cheb_q_odd(params), xs))
         assert err.max() <= params.eps1 + params.eps2
 
 
@@ -182,3 +205,27 @@ def test_weight_bound_harmonic():
         s = heaviside.build_fourier(heaviside.optimize_split(delta, eps))
         bound = 0.5 * specfun.harmonic_half(s.d) + math.log(2.0)
         assert float(s.odd_abs.sum()) <= bound
+
+
+def test_grid_certified_above_the_bessel_recurrence_cutoff():
+    # beta = 1.93e8 takes the coefficients from the recurrence, not scipy;
+    # the band error is 0.044 against eps_total = 0.1
+    params = heaviside.optimize_split(6e-5, 0.1)
+    assert params.beta > specfun._IVE_DIRECT_MAX and params.d == 29_544
+    rep = heaviside.certification_report(heaviside.build_fourier(params),
+                                         n_band=400, n_range=401)
+    assert rep["band_ok"] and rep["range_ok"] and rep["weight_ok"]
+
+
+def test_degree_cap_applies_to_the_chosen_split(monkeypatch):
+    # at (0.05, 0.1) the equal split needs d = 44 and the chosen one d = 39:
+    # a cap between them must not reject the discarded equal split
+    equal = heaviside.select_parameters(0.05, 0.2 / 3, 0.2 / 3, 0.2 / 3).d
+    monkeypatch.setattr(heaviside, "MAX_DEGREE", 39)
+    heaviside.optimize_split.cache_clear()
+    assert heaviside.optimize_split(0.05, 0.1).d == 39 < equal
+    monkeypatch.setattr(heaviside, "MAX_DEGREE", 38)
+    heaviside.optimize_split.cache_clear()
+    with pytest.raises(ValueError, match="filter degree d = 39 exceeds the cap 38"):
+        heaviside.optimize_split(0.05, 0.1)
+    heaviside.optimize_split.cache_clear()

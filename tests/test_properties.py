@@ -1,7 +1,9 @@
 """Property tests over whole parameter ranges (need hypothesis)."""
 
+import io
 import math
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from randqpe import backend, heaviside, pauli, specfun  # noqa: E402
+from randqpe.cli import run  # noqa: E402
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -79,3 +82,39 @@ def test_prepare_state_raises_only_value_or_os_error(kind, arg, bits, amp_lines,
             return
     assert state.width <= 12
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-10
+
+
+_SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-5)
+
+
+def _arg(lo, hi):
+    """A float option: one time in eight a special value, else a bounded range
+    that keeps d small and the run fast."""
+    return st.tuples(st.integers(0, 7), st.sampled_from(_SPECIAL), st.floats(lo, hi)).map(
+        lambda x: x[1] if x[0] == 0 else x[2])
+
+
+def _exit_code(argv, options):
+    # --opt=value, since argparse reads a bare "-inf" or "-1e-05" as an option
+    argv = argv + [f"--{name}={value!r}" for name, value in options.items()]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return run(argv)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(lam=_arg(1.0, 20.0), Delta=_arg(0.02, 0.1), eta=_arg(0.5, 1.0),
+       eps=_arg(1e-3, 0.24), b=_arg(1.0, 20.0))
+def test_resource_curve_exits_0_2_or_3(lam, Delta, eta, eps, b):
+    assert _exit_code(["resource-curve", "--ngrid=3"], {
+        "lambda": lam, "Delta": Delta, "eta": eta, "eps": eps, "b": b}) in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(Delta=_arg(0.02, 0.12), eta=_arg(0.5, 1.0), eps=_arg(1e-3, 0.24),
+       b=_arg(1.0, 20.0), g=_arg(1.0, 1e6),
+       rmode=st.sampled_from(["constant", "total", "gated"]))
+def test_plan_exits_0_2_or_3(Delta, eta, eps, b, g, rmode, tmp_path_factory):
+    ham = tmp_path_factory.getbasetemp() / "plan_ham.txt"
+    ham.write_text("0.6 XZ\n-0.4 ZI\n0.3 YY\n")
+    assert _exit_code(["plan", f"--ham={ham}", "--theta=0.1", f"--rmode={rmode}"], {
+        "Delta": Delta, "eta": eta, "eps": eps, "b": b, "g": g}) in (0, 2, 3)

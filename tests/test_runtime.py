@@ -186,13 +186,13 @@ def test_heavy_sweep_evaluation_count_and_oracle(monkeypatch):
     c_gate_opt = runtime.weight_and_gates(weights, np.exp(times ** 2 / r_opt), r_opt)[1]
     floor = runtime.gate_floor(weights, times)
     calls = []
-    orig = runtime._Gates.of_r
+    orig = runtime._Gates.evaluate
 
-    def counting(self, r):
+    def counting(self, r_leaf):
         calls.append(1)
-        return orig(self, r)
+        return orig(self, r_leaf)
 
-    monkeypatch.setattr(runtime._Gates, "of_r", counting)
+    monkeypatch.setattr(runtime._Gates, "evaluate", counting)
     feasible = 0
     for g in np.geomspace(1.05 * c_gate_opt, floor * (1 + 1e-6), 10):
         expect = _bracket_in_s(weights, times, float(g))
@@ -207,8 +207,9 @@ def test_heavy_sweep_evaluation_count_and_oracle(monkeypatch):
         feasible += 1
     assert feasible >= 8
     # bracketing in s took 223 evaluations here, ln(s - s_min) 160; memoizing
-    # S by s makes brentq's two endpoints hits
-    assert 0 < len(calls) <= 140
+    # S by s makes brentq's two endpoints hits (138), and sharing the memo on
+    # the read-only window arrays makes the floor and the first hi hits
+    assert 0 < len(calls) <= 119
 
 
 class TestComplexityReport:
@@ -247,3 +248,55 @@ class TestComplexityReport:
         with pytest.raises(ValueError):
             runtime.complexity_report([1.0], [1.0], [5], eta=1.0, eps=0.4,
                                       theta=0.1, bias=0.2)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("n", [1, 7, 8, 129, runtime._LEAF, runtime._LEAF + 1,
+                               3 * runtime._LEAF + 5, 749_049])
+def test_leaf_walk_has_the_bits_of_whole_array_sums(n, clamp):
+    # the leaf walk follows numpy's pairwise summation tree; if numpy ever
+    # changes that tree, these sums stop matching bit for bit
+    gen = np.random.default_rng(n)
+    w = gen.uniform(1e-6, 1.0, size=n)
+    t = gen.uniform(0.05, 40.0, size=n) * gen.choice([-1.0, 1.0], size=n)
+    t2 = t * t
+    gates = runtime._Gates(w, t, clamp)
+    for s in (-0.25 * float(t2.min()) * (1.0 - 1e-15), 0.0, 3.0, 1e4):
+        r = (np.sqrt(4.0 * s / t2 + 1.0) + 1.0) * (0.5 * t2)
+        if clamp:
+            r = np.where(np.abs(t) < 2.0, np.maximum(r, np.maximum(1.0, np.abs(t))), r)
+        wu = w * np.exp(t2 / r)
+        sums = (float(wu.sum()), float((wu * r).sum()))
+        np.testing.assert_array_equal(gates.r_of_s(s), r)
+        assert gates._walk(lambda lo, hi: r[lo:hi], 0, n) == sums
+        assert gates.at(s) == gates.of_r(r) == float(sums[1] / sums[0])
+
+
+def test_memo_shared_only_across_the_same_read_only_arrays(monkeypatch):
+    calls = []
+    orig = runtime._Gates.evaluate
+
+    def counting(self, r_leaf):
+        calls.append(1)
+        return orig(self, r_leaf)
+
+    monkeypatch.setattr(runtime._Gates, "evaluate", counting)
+    w, t = random_instance(np.random.default_rng(5), n=40)
+    runtime.gate_floor(w, t)
+    runtime.gate_floor(w, t)
+    assert len(calls) == 2  # writable arrays may change between calls
+    w.flags.writeable = t.flags.writeable = False
+    floor = runtime.gate_floor(w, t)
+    assert runtime.gate_floor(w, t) == floor and len(calls) == 3
+    runtime.minimize_samples(w, t, 2.0 * floor)
+    ours = len(calls)
+    runtime.minimize_samples(w, t, 2.0 * floor)
+    # every s of the repeated solve is a hit; the rounded vector's S is not by s
+    assert len(calls) == ours + 1
+    other = w.copy()
+    other.flags.writeable = False
+    assert runtime.gate_floor(other, t) == floor and len(calls) == ours + 2
+    # the memo holds weak references: it keeps no array alive
+    ref = runtime._slot[0]
+    del other
+    assert ref() is None
