@@ -117,6 +117,10 @@ def _d_continuous(delta: float, eps1: float, eps2: float, eps3: float) -> float:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# eps range of optimize_split: its split components (eps/40 to 2 eps) are
+# squared in W(2/(pi eps3^2)) and W(8/(pi eps1^2)), which under- or overflow
+# from about 1.2e-153 and 4.2e153 on
+EPS_RANGE = (1e-150, 1e150)
 # largest filter degree optimize_split returns: over 10x the heavy-molecule
 # d = 749,048, and 64 MiB per array of length d
 MAX_DEGREE = 1 << 23
@@ -145,12 +149,13 @@ def optimize_split(delta: float, eps: float, grid: int = 20) -> ApproxParams:
 
     Simplex grid search followed by golden-section refinement along each
     of the two free axes; never returns a split worse than the equal one.
-    ValueError if the chosen split needs d > MAX_DEGREE.
+    ValueError if eps lies outside EPS_RANGE or the chosen split needs
+    d > MAX_DEGREE.
     """
     if not 0.0 < delta < math.pi / 2:
         raise ValueError("delta must lie in (0, pi/2)")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not EPS_RANGE[0] <= eps <= EPS_RANGE[1]:
+        raise ValueError(f"eps = {eps!r} lies outside [{EPS_RANGE[0]:g}, {EPS_RANGE[1]:g}]")
     total = 2.0 * eps
     candidates = [(total / 3.0, total / 3.0)]
     best = None

@@ -1,4 +1,4 @@
-"""Pauli-string Hamiltonians: parsing, algebra, and dense matrix realization.
+"""Pauli-string Hamiltonians: parsing, algebra, and dense and sparse matrices.
 
 Conventions
 -----------
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 DENSE_QUBIT_CAP = 12
 
@@ -219,6 +220,26 @@ class Hamiltonian:
             perm, phase = index_action(op)
             m[rows, perm] += w * phase
         return m
+
+    def sparse(self, max_width: int = DENSE_QUBIT_CAP) -> scipy.sparse.csr_array:
+        """The matrix in CSR form, built from the cached index_action tables.
+
+        Terms with the same x_bits share one permutation, so their entries are
+        summed: each row stores one entry per distinct x_bits.
+        """
+        _check_width(self.width, max_width)
+        dim = 1 << self.width
+        cols, vals = {}, {}
+        for w, op in self.terms:
+            perm, phase = index_action(op)
+            x = op.pauli.x_bits
+            cols[x] = perm
+            vals[x] = vals[x] + w * phase if x in vals else w * phase
+        n = len(cols)
+        return scipy.sparse.csr_array(
+            (np.column_stack(list(vals.values())).ravel(),
+             np.column_stack(list(cols.values())).ravel(),
+             np.arange(0, n * dim + 1, n)), shape=(dim, dim))
 
     def serialize(self) -> str:
         lines = [f"{w * op.sign:.17g} {op.pauli.axes}" for w, op in self.terms]

@@ -22,12 +22,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def random_hamiltonian(width: int, n_terms: int, seed: int,
-                       allow_negative: bool = True) -> rq.Hamiltonian:
-    """Reproducible random Pauli Hamiltonian with distinct non-identity words."""
+                       allow_negative: bool = True, idle: int = 0) -> rq.Hamiltonian:
+    """Reproducible random Pauli Hamiltonian with distinct non-identity words.
+
+    The first `idle` qubits carry I in every term, so each eigenvalue is
+    (at least) 2^idle-fold degenerate.
+    """
     r = random.Random(seed)
     lines, seen = [], set()
     while len(lines) < n_terms:
-        word = "".join(r.choice("IXYZ") for _ in range(width))
+        word = "I" * idle + "".join(r.choice("IXYZ") for _ in range(width - idle))
         if word == "I" * width or word in seen:
             continue
         seen.add(word)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,8 +83,16 @@ class TestGroundmix:
         (lambda: rq.parse_hamiltonian("1.0 ZIIIIIIIII\n-0.3 IZZIIIIIII\n0.2 IIIIIIIIZI"),
          128, 0),
         (lambda: rq.parse_hamiltonian("1.0 ZIIIIIIIII"), 512, 0),
+        # from 9 qubits deflated Lanczos finds the ground space without eigh;
+        # idle qubits make every level 2^idle-fold
+        (lambda: random_hamiltonian(10, 40, seed=7), 1, 0),
+        (lambda: random_hamiltonian(9, 40, seed=43, idle=1), 2, 0),
+        (lambda: random_hamiltonian(9, 40, seed=44, idle=2), 4, 0),
+        # 8 ground vectors found: the whole spectrum is solved once instead
+        (lambda: random_hamiltonian(9, 40, seed=45, idle=3), 8, 1),
     ], ids=["2-fold", "8-fold", "below-8-dims", "8-qubits", "8-fold-solved",
-            "diagonal-128-fold", "diagonal-512-fold"])
+            "diagonal-128-fold", "diagonal-512-fold", "lanczos-10-qubits",
+            "lanczos-2-fold", "lanczos-4-fold", "lanczos-8-fold-solved"])
     @pytest.mark.parametrize("eta", [0.37, 1.0])
     def test_matches_projector_formula(self, monkeypatch, make_h, fold, solves, eta):
         h = make_h()
@@ -93,11 +102,44 @@ class TestGroundmix:
                             lambda *a, **k: calls.append(k) or eigh(*a, **k))
         s = backend.prepare_state(f"groundmix:{eta}", h)
         assert len(calls) == solves
+        if h.width >= backend._LANCZOS_WIDTH and solves:
+            assert calls[0].get("subset_by_index") is None
         ref, gspace = self.reference(h, eta)
         assert gspace.shape[1] == fold
         np.testing.assert_allclose(s.amplitudes, ref, rtol=0, atol=1e-12)
         overlap = float(np.linalg.norm(gspace.conj().T @ s.amplitudes) ** 2)
         assert overlap == pytest.approx(eta, abs=1e-10)
+
+    def test_lanczos_is_deterministic(self):
+        h = random_hamiltonian(10, 40, seed=46, idle=1)
+        a = backend.prepare_state("groundmix:0.6", h).amplitudes
+        b = backend.prepare_state("groundmix:0.6", h).amplitudes
+        assert np.array_equal(a, b)
+
+    def test_12_qubits_in_bounded_memory(self, monkeypatch):
+        # the dense matrix alone would take 256 MB
+        h = random_hamiltonian(12, 40, seed=47)
+        monkeypatch.setattr(rq.Hamiltonian, "matrix",
+                            lambda *a: pytest.fail("dense matrix built"))
+        tracemalloc.start()
+        try:
+            g = backend.prepare_state("groundmix:1.0", h).amplitudes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 << 20
+        hg = h.sparse() @ g
+        energy = np.vdot(g, hg).real
+        assert np.linalg.norm(hg - energy * g) <= 1e-10 * h.lam
+
+    @pytest.mark.parametrize("text", ["1.0 XIIIIIIII\n-1.0 XIIIIIIII",
+                                      "1.0 XIIIIIIII\n-1.0 XIIIIIIII\n1.0 IIIIIIIII"])
+    def test_lanczos_whole_space_ground(self, text):
+        # H = 0 and H = I: every state is a ground state
+        h = rq.parse_hamiltonian(text)
+        assert backend.prepare_state("groundmix:1", h).width == 9
+        with pytest.raises(ValueError, match="above the ground space"):
+            backend.prepare_state("groundmix:0.5", h)
 
     def test_whole_space_ground_rejected_below_one(self):
         h = rq.parse_hamiltonian("1.0 Z\n-1.0 Z")  # H = 0

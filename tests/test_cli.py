@@ -38,6 +38,17 @@ class TestFourier:
     def test_validation_exit_2(self):
         assert run(["fourier", "--delta", "-0.1", "--eps", "0.1"]) == 2
 
+    @pytest.mark.parametrize("delta, eps", [("0.1", "1e-200"), ("0.3", "1e300")])
+    def test_eps_out_of_range_exit_2(self, capsys, delta, eps):
+        # eps^2 would underflow to 0 or overflow in the filter parameters
+        assert run(["fourier", "--delta", delta, "--eps", eps]) == 2
+        err = capsys.readouterr().err
+        assert f"eps = {float(eps)!r} lies outside [1e-150, 1e+150]" in err
+
+    @pytest.mark.parametrize("eps", ["1e-150", "1e150"])
+    def test_eps_range_ends_run(self, eps):
+        assert run(["fourier", "--delta", "0.3", "--eps", eps]) == 0
+
 
 class TestPlan:
     def test_plan_json(self, ham_mix, tmp_path):

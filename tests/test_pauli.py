@@ -168,6 +168,23 @@ class TestMatrix:
             tracemalloc.stop()
         assert peak <= 1.25 * (1 << 20) * 16
 
+    @pytest.mark.parametrize("text", [
+        "0.5 XZ\n-0.3 XI\n0.2 YY\n0.7 ZZ\n0.1 IZ",  # XZ and XI share a permutation
+        "1.0 XII\n-1.0 XII\n0.4 ZZI",               # the X terms cancel to stored zeros
+        "1.0 ZIZ",
+    ])
+    def test_sparse_equals_dense(self, text):
+        h = parse_hamiltonian(text)
+        a = h.sparse()
+        assert a.nnz == len({op.pauli.x_bits for _, op in h.terms}) << h.width
+        assert np.array_equal(a.toarray(), h.matrix())
+
+    def test_sparse_random_and_width_cap(self):
+        h = random_hamiltonian(6, 20, seed=12)
+        assert np.array_equal(h.sparse().toarray(), h.matrix())
+        with pytest.raises(ValueError, match="cap"):
+            h.sparse(max_width=5)
+
     def test_hermitian(self):
         m = random_hamiltonian(4, 8, seed=2).matrix()
         np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
@@ -196,7 +213,7 @@ class TestIndexActionCache:
         assert _index_action.cache_info().maxsize * entry <= 64 << 20
 
     def test_task_reuses_its_tables(self):
-        # an estimate-cdf-sized task: the dense matrix for the state, then the
+        # an estimate-cdf-sized task: the sparse operator for the state, then the
         # sampler's tables for the same terms
         h = random_hamiltonian(10, 40, seed=7)
         _index_action.cache_clear()

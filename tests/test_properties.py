@@ -84,7 +84,7 @@ def test_prepare_state_raises_only_value_or_os_error(kind, arg, bits, amp_lines,
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-10
 
 
-_SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-5)
+_SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-5, 1e-200, 1e300)
 
 
 def _arg(lo, hi):
@@ -101,6 +101,12 @@ def _exit_code(argv, options):
         return run(argv)
 
 
+def _ham_file(tmp_path_factory):
+    ham = tmp_path_factory.getbasetemp() / "ham.txt"
+    ham.write_text("0.6 XZ\n-0.4 ZI\n0.3 YY\n")
+    return ham
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(lam=_arg(1.0, 20.0), Delta=_arg(0.02, 0.1), eta=_arg(0.5, 1.0),
        eps=_arg(1e-3, 0.24), b=_arg(1.0, 20.0))
@@ -114,7 +120,32 @@ def test_resource_curve_exits_0_2_or_3(lam, Delta, eta, eps, b):
        b=_arg(1.0, 20.0), g=_arg(1.0, 1e6),
        rmode=st.sampled_from(["constant", "total", "gated"]))
 def test_plan_exits_0_2_or_3(Delta, eta, eps, b, g, rmode, tmp_path_factory):
-    ham = tmp_path_factory.getbasetemp() / "plan_ham.txt"
-    ham.write_text("0.6 XZ\n-0.4 ZI\n0.3 YY\n")
+    ham = _ham_file(tmp_path_factory)
     assert _exit_code(["plan", f"--ham={ham}", "--theta=0.1", f"--rmode={rmode}"], {
         "Delta": Delta, "eta": eta, "eps": eps, "b": b, "g": g}) in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(delta=_arg(0.05, 1.5), eps=_arg(1e-3, 0.3))
+def test_fourier_exits_0_2_or_3(delta, eps):
+    assert _exit_code(["fourier"], {"delta": delta, "eps": eps}) in (0, 2, 3)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(Delta=_arg(0.2, 0.6), eta=_arg(0.8, 1.0), eps=_arg(0.05, 0.2), b=_arg(1.0, 1.5),
+       theta=_arg(0.01, 0.3), state=st.sampled_from(["basis:01", "groundmix:0.8"]))
+def test_estimate_cdf_exits_0_2_or_3(Delta, eta, eps, b, theta, state, tmp_path_factory):
+    argv = ["estimate-cdf", f"--ham={_ham_file(tmp_path_factory)}", f"--state={state}",
+            "--x=-0.5,0.5", "--seed=3"]
+    assert _exit_code(argv, {"Delta": Delta, "eta": eta, "eps": eps, "b": b,
+                             "theta": theta}) in (0, 2, 3)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(Delta=_arg(0.2, 0.6), eta=_arg(0.8, 1.0), eps=_arg(0.05, 0.2), b=_arg(1.0, 1.5),
+       xi=_arg(0.05, 0.5), state=st.sampled_from(["basis:01", "groundmix:0.8"]))
+def test_ground_energy_exits_0_2_or_3(Delta, eta, eps, b, xi, state, tmp_path_factory):
+    argv = ["ground-energy", f"--ham={_ham_file(tmp_path_factory)}", f"--state={state}",
+            "--seed=3"]
+    assert _exit_code(argv, {"Delta": Delta, "eta": eta, "eps": eps, "b": b,
+                             "xi": xi}) in (0, 2, 3)
