@@ -21,12 +21,16 @@ from .pauli import DENSE_QUBIT_CAP, Hamiltonian, index_action
 
 # fixed stream for the deterministic pseudo-random orthogonal component
 _GROUNDMIX_SEED = 0x5EED_CAFE_F00D
-# groundmix solves H from this width up by deflated Lanczos on its sparse form
-# (8 qubits, 40 terms: 9-10 ms dense against 13-15 ms Lanczos), from its own start stream
+# groundmix solves H from this width up by deflated Lanczos on its sparse form, from
+# its own start stream (40 terms, one BLAS thread: 14-15 ms dense against 23-25 ms
+# Lanczos at 8 qubits, 75-85 ms against 38-46 ms at 9)
 _LANCZOS_WIDTH = 9
 _LANCZOS_SEED = 0x1A2C_205D_57A7
 # ground vectors sought before the full dense solve takes over
 _MAX_GROUND = 8
+# largest |Hv - Ev| / lambda accepted from a Lanczos run; eigsh(tol=1e-14) leaves
+# about 1e-15
+_MAX_RESIDUAL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,9 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
     8 lowest eigenpairs (all of them if those 8 are degenerate); from 9
     qubits deflated Lanczos on H.sparse() finds the ground vectors one per
     run, with no dense matrix (12 qubits, 40 terms: under a second and about
-    10 MiB), and hands over to one dense solve of the whole spectrum once it
-    has found 8.  All three descriptors are capped at max_width qubits.
+    10 MiB).  It hands over to one dense solve of the whole spectrum once it
+    has found 8, or when a run fails to converge or leaves a residual above
+    1e-13 lambda.  All three descriptors are capped at max_width qubits.
     """
     kind, _, arg = spec.partition(":")
     if kind == "basis":
@@ -125,7 +130,7 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
             if gspace is None:
                 # H^T = conj(H) is Fortran-ordered, so LAPACK solves it in place
                 # without a copy; conjugating its eigenvectors gives those of H.
-                # Lanczos stops at 8 vectors: its fallback solves the whole spectrum
+                # at 8 vectors or a failed run, Lanczos hands over the whole spectrum
                 subset = None if h.width >= _LANCZOS_WIDTH else [0, min(_MAX_GROUND, dim) - 1]
                 evals, evecs = scipy.linalg.eigh(h.matrix(max_width).T, overwrite_a=True,
                                                  driver="evr", subset_by_index=subset)
@@ -148,14 +153,16 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
 
 
 def _lanczos_ground_space(h: Hamiltonian, tol: float) -> np.ndarray | None:
-    """Orthonormal ground-space basis by deflated Lanczos, or None at 8 vectors.
+    """Orthonormal ground-space basis by deflated Lanczos, or None for a dense solve.
 
     Each run finds the lowest eigenvector of H + 2 lambda Q Q^dagger, which
     lifts the ground vectors Q found so far above the spectrum, and the runs
     stop at the first eigenvalue above E0 + tol.  Every run draws a fresh start
     vector: Lanczos from v0 stays in the Krylov space of v0, whose only ground
     vector is P v0, so a reused start, projected off the vector found from
-    it, keeps no ground component to find.
+    it, keeps no ground component to find.  None comes at 8 vectors, and when
+    a run fails to converge or its vector's residual exceeds _MAX_RESIDUAL:
+    the error of an eigenvector grows as residual / gap.
     """
     a = h.sparse()
     if not a.count_nonzero():  # H = 0, whose ground space is everything
@@ -168,12 +175,18 @@ def _lanczos_ground_space(h: Hamiltonian, tol: float) -> np.ndarray | None:
     while q.shape[1] < _MAX_GROUND:
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v0 -= q @ (q.conj().T @ v0)
-        (e,), vec = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=1e-14, v0=v0)
+        try:
+            (e,), vec = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=1e-14, v0=v0)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            return None
         if e > e0 + tol:
             return q
         e0 = min(e0, e)
         vec = vec[:, 0] - q @ (q.conj().T @ vec[:, 0])
-        q = np.column_stack([q, vec / np.linalg.norm(vec)])
+        vec /= np.linalg.norm(vec)
+        if np.linalg.norm(a @ vec - e * vec) > _MAX_RESIDUAL * h.lam:
+            return None
+        q = np.column_stack([q, vec])
         lift, qh = 2.0 * h.lam * q, q.conj().T
         op = scipy.sparse.linalg.LinearOperator(
             a.shape, dtype=complex, matvec=lambda x, lift=lift, qh=qh: a @ x + lift @ (qh @ x))

@@ -212,20 +212,14 @@ class Hamiltonian:
         return [(w / self.lam, op) for w, op in self.terms]
 
     def matrix(self, max_width: int = DENSE_QUBIT_CAP) -> np.ndarray:
-        _check_width(self.width, max_width)
-        dim = 1 << self.width
-        rows = np.arange(dim)
-        m = np.zeros((dim, dim), dtype=complex)
-        for w, op in self.terms:
-            perm, phase = index_action(op)
-            m[rows, perm] += w * phase
-        return m
+        # toarray adds each stored entry onto +0, as a scatter into zeros would
+        return self.sparse(max_width).toarray()
 
     def sparse(self, max_width: int = DENSE_QUBIT_CAP) -> scipy.sparse.csr_array:
         """The matrix in CSR form, built from the cached index_action tables.
 
         Terms with the same x_bits share one permutation, so their entries are
-        summed: each row stores one entry per distinct x_bits.
+        summed in term order: each row stores one entry per distinct x_bits.
         """
         _check_width(self.width, max_width)
         dim = 1 << self.width

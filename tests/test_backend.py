@@ -60,17 +60,34 @@ class TestPrepareState:
             backend.prepare_state(f"file:{bad}")
 
 
+def _ground_energy_zero(h):
+    # an identity term moves E0 to about 0, where ARPACK's relative stopping
+    # test |r| <= tol * max(eps^(2/3), |E|) is at its tightest
+    e0 = float(np.linalg.eigvalsh(h.matrix())[0])
+    return rq.parse_hamiltonian(h.serialize() + f"{-e0!r} {'I' * h.width}\n")
+
+
+def _split_levels(h, gap):
+    # Z on the idle qubit 0 splits every level into two, gap * lambda apart
+    return rq.parse_hamiltonian(h.serialize() + f"{gap * h.lam / 2!r} Z{'I' * (h.width - 1)}\n")
+
+
 class TestGroundmix:
     @staticmethod
     def reference(h, eta):
-        # sqrt(eta) Pw/|Pw| + sqrt(1-eta) (w-Pw)/|w-Pw|, P from a full eigh
+        """The state from a full eigh, its ground space, and the gap above it.
+
+        The state is sqrt(eta) Pw/|Pw| + sqrt(1-eta) (w-Pw)/|w-Pw|.
+        """
         evals, evecs = np.linalg.eigh(h.matrix())
-        gspace = evecs[:, evals <= evals[0] + 1e-9 * h.lam]
+        mask = evals <= evals[0] + 1e-9 * h.lam
+        gspace = evecs[:, mask]
+        gap = evals[~mask][0] - evals[0] if not mask.all() else math.inf
         rng = np.random.Generator(np.random.PCG64(backend._GROUNDMIX_SEED))
         w = rng.standard_normal(len(evals)) + 1j * rng.standard_normal(len(evals))
         pw = gspace @ (gspace.conj().T @ w)
         g, v = pw / np.linalg.norm(pw), (w - pw) / np.linalg.norm(w - pw)
-        return math.sqrt(eta) * g + math.sqrt(1.0 - eta) * v, gspace
+        return math.sqrt(eta) * g + math.sqrt(1.0 - eta) * v, gspace, gap
 
     @pytest.mark.parametrize("make_h, fold, solves", [
         (lambda: random_hamiltonian(3, 5, seed=41), 2, 1),
@@ -90,9 +107,12 @@ class TestGroundmix:
         (lambda: random_hamiltonian(9, 40, seed=44, idle=2), 4, 0),
         # 8 ground vectors found: the whole spectrum is solved once instead
         (lambda: random_hamiltonian(9, 40, seed=45, idle=3), 8, 1),
+        (lambda: _ground_energy_zero(random_hamiltonian(10, 40, seed=7)), 1, 0),
+        (lambda: _split_levels(random_hamiltonian(10, 40, seed=43, idle=1), 1e-7), 1, 0),
     ], ids=["2-fold", "8-fold", "below-8-dims", "8-qubits", "8-fold-solved",
             "diagonal-128-fold", "diagonal-512-fold", "lanczos-10-qubits",
-            "lanczos-2-fold", "lanczos-4-fold", "lanczos-8-fold-solved"])
+            "lanczos-2-fold", "lanczos-4-fold", "lanczos-8-fold-solved",
+            "lanczos-ground-energy-0", "lanczos-gap-1e-7"])
     @pytest.mark.parametrize("eta", [0.37, 1.0])
     def test_matches_projector_formula(self, monkeypatch, make_h, fold, solves, eta):
         h = make_h()
@@ -104,11 +124,32 @@ class TestGroundmix:
         assert len(calls) == solves
         if h.width >= backend._LANCZOS_WIDTH and solves:
             assert calls[0].get("subset_by_index") is None
-        ref, gspace = self.reference(h, eta)
+        ref, gspace, gap = self.reference(h, eta)
         assert gspace.shape[1] == fold
-        np.testing.assert_allclose(s.amplitudes, ref, rtol=0, atol=1e-12)
+        # Lanczos leaves residuals near 1e-15 lambda, and an eigenvector's
+        # error grows as residual / gap: 1e-8 at a gap of 1e-7 lambda
+        atol = max(1e-12, 1e-15 * h.lam / gap)
+        np.testing.assert_allclose(s.amplitudes, ref, rtol=0, atol=atol)
         overlap = float(np.linalg.norm(gspace.conj().T @ s.amplitudes) ** 2)
         assert overlap == pytest.approx(eta, abs=1e-10)
+
+    @pytest.mark.parametrize("fault", ["no-convergence", "loose-vector"])
+    def test_failed_lanczos_run_falls_back_to_dense(self, monkeypatch, fault):
+        h = random_hamiltonian(10, 40, seed=7)
+        eigsh, eigh, calls = backend.scipy.sparse.linalg.eigsh, backend.scipy.linalg.eigh, []
+
+        def faulty_eigsh(*a, **k):
+            e, vec = eigsh(*a, **k)
+            if fault == "no-convergence":
+                raise backend.scipy.sparse.linalg.ArpackNoConvergence("no convergence", e, vec)
+            return e, vec + 1e-9  # a residual of about 1e-8 lambda
+
+        monkeypatch.setattr(backend.scipy.sparse.linalg, "eigsh", faulty_eigsh)
+        monkeypatch.setattr(backend.scipy.linalg, "eigh",
+                            lambda *a, **k: calls.append(k) or eigh(*a, **k))
+        s = backend.prepare_state("groundmix:0.37", h)
+        assert [k.get("subset_by_index") for k in calls] == [None]
+        np.testing.assert_allclose(s.amplitudes, self.reference(h, 0.37)[0], rtol=0, atol=1e-12)
 
     def test_lanczos_is_deterministic(self):
         h = random_hamiltonian(10, 40, seed=46, idle=1)
