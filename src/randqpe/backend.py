@@ -105,11 +105,14 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
             raise ValueError("amplitude count must be a power of two")
         if width > max_width:
             raise ValueError(f"width {width} exceeds cap {max_width}")
-        amps = np.array(rows, dtype=complex)
-        norm = np.linalg.norm(amps)
-        if not 0 < norm < math.inf:
-            raise ValueError(f"amplitude norm {norm} is not finite and positive")
-        return StateVector(amps / norm, width)
+        parts = np.array(rows, dtype=complex).view(float)
+        peak = np.abs(parts).max()
+        if not 0 < peak < math.inf:
+            raise ValueError(f"largest amplitude part {peak} is not finite and positive")
+        # an exact power-of-two rescale keeps the norm from overflowing or
+        # underflowing and leaves amps / norm as it was for ordinary values
+        amps = np.ldexp(parts, -math.frexp(peak)[1]).view(complex)
+        return StateVector(amps / np.linalg.norm(amps), width)
     if kind == "groundmix":
         if h is None:
             raise ValueError("groundmix requires a Hamiltonian")
@@ -191,11 +194,6 @@ def _lanczos_ground_space(h: Hamiltonian, tol: float) -> np.ndarray | None:
         op = scipy.sparse.linalg.LinearOperator(
             a.shape, dtype=complex, matvec=lambda x, lift=lift, qh=qh: a @ x + lift @ (qh @ x))
     return None
-
-
-def write_amplitudes(state: StateVector, path) -> None:
-    lines = [f"{a.real:.17g} {a.imag:.17g}" for a in state.amplitudes]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def apply_unitary(psi: np.ndarray, u: LcuUnitary) -> np.ndarray:

@@ -10,6 +10,8 @@ single quantum data set.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +22,9 @@ from .heaviside import FourierSeries, build_fourier, eval_fourier, optimize_spli
 from .lcu import segment_distribution, truncation_order
 from .pauli import Hamiltonian, index_action
 
-# collect_samples holds one block of records at a time.  Per amplitude the
-# state (complex), index (int64), phase and gather (complex) buffers cost
-# _BYTES_PER_AMP bytes; a block's buffers stay within _BLOCK_BYTES.
+# Per amplitude a record's state (complex), index (int64), phase and gather
+# (complex) buffers cost _BYTES_PER_AMP bytes; the blocks collect_samples
+# holds at one time keep their buffers within _BLOCK_BYTES.
 _BYTES_PER_AMP = 56
 _BLOCK_BYTES = 8 << 20
 
@@ -154,20 +156,24 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
 
     The segment draws follow the LCU sampler's distribution exactly
     (truncated even orders, i.i.d. Pauli indices), evaluated in batches.
-    Records are sorted by descending r_i and cut into consecutive blocks of
-    max(1, _BLOCK_BYTES // (56 * 2^n)) records, which run one after another
-    on state and work buffers allocated once at block size, so the state
-    memory of a call is bounded whatever c_sample is.  Within a block all
-    live records advance one segment per step, so the live records form a
-    prefix whose width m is constant over runs of steps, one run per
-    distinct r_i.  A step draws 2m uniforms (orders, then rotation terms),
-    applies the order-0 rotation to the whole prefix in place and redoes the
-    rare higher-order rows from pre-step copies.
+    Records are sorted by descending r_i and cut into consecutive blocks
+    whose state and work buffers (56 B per amplitude per record) are
+    allocated once and reused, so the state memory of a call is bounded
+    whatever c_sample is.  Within a block all live records advance one
+    segment per step, so the live records form a prefix whose width m is
+    constant over runs of steps, one run per distinct r_i.  A step draws 2m
+    uniforms (orders, then rotation terms), applies the order-0 rotation to
+    the whole prefix in place and redoes the rare higher-order rows from
+    pre-step copies.
 
-    For a fixed seed the record stream is byte-identical across runs and
-    releases (tests pin its digest); a change to it must be stated.  A call
-    with c_sample * 2^n * 56 B <= _BLOCK_BYTES is one block and draws the
-    stream of the unblocked loop; a larger one draws block by block.
+    A call with c_sample * 2^n * 56 B <= _BLOCK_BYTES is one block, run
+    inline on rng: it draws the stream of the unblocked loop.  A larger call
+    is cut into blocks of _BLOCK_BYTES / 2, two of them in flight on up to
+    two threads, so its buffers stay within the same budget.  Each block draws
+    its segments from its own generator, spawned in block order from one
+    draw of rng, so the records do not depend on the CPU count or on thread
+    timing.  For a fixed seed the record stream is byte-identical across
+    runs and releases (tests pin its digest); a change to it must be stated.
     """
     if plan.h.width != state.width:
         raise ValueError("plan and state widths differ")
@@ -192,36 +198,86 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     # per-group segment tables (orders share the truncation M)
     segs = [segment_distribution(float(t), int(r), plan.M)
             for t, r in zip(plan.times, plan.rvec)]
-    n_orders = len(segs[0].orders)
-    q_cum, thetas = np.empty((2, len(segs), n_orders))
+    q_cum, thetas = np.empty((2, len(segs), len(segs[0].orders)))
     for i, s in enumerate(segs):
         q_cum[i] = np.cumsum(s.probs)
         thetas[i] = s.thetas
     q_cum[:, -1] = 1.0
-    orders = segs[0].orders
 
     # records sorted by descending segment count; active prefix shrinks
     r_rec = plan.rvec[gid]
     order_idx = np.argsort(-r_rec, kind="stable")
     inv_order = np.empty_like(order_idx)
     inv_order[order_idx] = np.arange(n_rec)
-    gid_s = gid[order_idx]
-    r_s = r_rec[order_idx]
+    gid_s, r_s = gid[order_idx], r_rec[order_idx]
     # rotation sign = sgn(t); t = -j tau lam for +j records, +j tau lam for -j
     rot_sign = np.where(neg[order_idx], 1.0, -1.0)
+    recs = (gid_s, r_s, rot_sign, np.cos(thetas[gid_s, 0]),
+            1j * np.sin(thetas[gid_s, 0]) * rot_sign,
+            q_cum[gid_s, 0])  # u <= q0: order 0 (cumulative columns are sorted)
+    tables = (psi0, psi0.conj(), cum_term, g_tab, f_tab, q_cum, thetas, segs[0].orders)
 
-    # state and work buffers for one block of records, reused by every block
-    blk = min(n_rec, max(1, _BLOCK_BYTES // (dim * _BYTES_PER_AMP)))
+    z = np.empty(n_rec, dtype=complex)
+    rows = max(1, _BLOCK_BYTES // (dim * _BYTES_PER_AMP))
+    if n_rec <= rows:
+        _run_blocks([slice(0, n_rec)], [rng], recs, tables, z)
+    else:
+        rows = max(1, rows // 2)
+        blocks = [slice(a, min(a + rows, n_rec)) for a in range(0, n_rec, rows)]
+        rngs = _block_rngs(rng, len(blocks))
+        # a block costs about its state-vector updates, sum r_i: each goes to
+        # the least loaded worker, in block order (descending r)
+        workers = min(2, _usable_cpus())
+        loads, shares = [0] * workers, [[] for _ in range(workers)]
+        for k, b in enumerate(blocks):
+            w = loads.index(min(loads))
+            shares[w].append(k)
+            loads[w] += int(r_s[b].sum())
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(_run_blocks, [blocks[k] for k in share],
+                                   [rngs[k] for k in share], recs, tables, z)
+                       for share in shares]
+            for f in futures:
+                f.result()
+    p_re = np.clip(0.5 * (1.0 + z.real), 0.0, 1.0)
+    p_im = np.clip(0.5 * (1.0 + z.imag), 0.0, 1.0)
+    m_re = np.where(rng.random(n_rec) < p_re, 1.0, -1.0)
+    m_im = np.where(rng.random(n_rec) < p_im, 1.0, -1.0)
+    m = (m_re + 1j * m_im)[inv_order]
+    js_signed = plan.js[gid] * np.where(neg, -1, 1)
+    return SampleSet(js=js_signed, m=m, plan=plan)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block_rngs(rng: np.random.Generator, n: int) -> list:
+    """n independent generators, one per block in block order, from one draw of rng."""
+    root = np.random.SeedSequence(int(rng.integers(1 << 63)))
+    return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(n)]
+
+
+def _run_blocks(blocks, rngs, recs, tables, z):
+    """Run the step loop on each block slice of the sorted records, block k
+    drawing from rngs[k], and write each record's overlap <psi0|psi> into z.
+
+    The state and work buffers are allocated here at the largest block's
+    size, so concurrent calls share only read-only inputs and write disjoint
+    rows of z.
+    """
+    gid_s, r_s, rot_sign, cos0, isin0, q0 = recs
+    psi0, psi0_conj, cum_term, g_tab, f_tab, q_cum, thetas, orders = tables
+    n_orders, dim = len(orders), psi0.size
+    blk = max(b.stop - b.start for b in blocks)
     psi = np.empty((blk, dim), dtype=complex)
-    cos0 = np.cos(thetas[gid_s, 0])
-    isin0 = 1j * np.sin(thetas[gid_s, 0]) * rot_sign
-    q0 = q_cum[gid_s, 0]  # u <= q0: order 0 (cumulative columns are sorted)
     flat, row_base = psi.reshape(-1), (np.arange(blk) * dim)[:, None]
     idx_buf = np.empty((blk, dim), dtype=np.int64)
     phase_buf, gath_buf = np.empty((2, blk, dim), dtype=complex)
-    z = np.empty(n_rec, dtype=complex)
-    for start in range(0, n_rec, blk):
-        b = slice(start, min(start + blk, n_rec))
+    for b, rng in zip(blocks, rngs):
         gid_b, r_b, sign_b, cos_b, isin_b, q0_b = (
             a[b] for a in (gid_s, r_s, rot_sign, cos0, isin0, q0))
         psi[:r_b.size] = psi0
@@ -234,37 +290,37 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
                 u = rng.random(2 * m)
                 ells = np.searchsorted(cum_term, u[m:], side="right")
                 hi = np.flatnonzero(u[:m] > q0_m)
-                old = [live[row].copy() for row in hi]
                 np.take(g_tab, ells, axis=0, out=idx, mode="clip")
                 idx += base
                 np.take(flat, idx, out=gath, mode="clip")
                 np.take(f_tab, ells, axis=0, out=phase, mode="clip")
                 np.multiply(phase, gath, out=gath)
+                for k, row in enumerate(hi):  # phase is free now: keep pre-step rows there
+                    phase[k] = live[row]
                 np.multiply(isin_m, gath, out=gath)
                 np.multiply(cos_m, live, out=live)
                 np.add(live, gath, out=live)
-                for row, prev in zip(hi, old):
+                for row, prev in zip(hi, phase):
                     ni = n_orders - 1 - int((u[row] <= q_cum[gid_b[row], :-1]).sum())
                     n = int(orders[ni])
                     th = float(thetas[gid_b[row], ni]) * sign_b[row]
                     el0 = int(ells[row])
-                    vec = (math.cos(th) * prev
-                           + (1j * math.sin(th)) * (f_tab[el0] * prev[g_tab[el0]]))
+                    # vec = cos(th) prev + i sin(th) P prev, then the extra
+                    # factors, in place with the row's gather buffer as scratch
+                    vec, tmp = live[row], gath[row]
+                    prev.take(g_tab[el0], out=tmp, mode="clip")
+                    np.multiply(f_tab[el0], tmp, out=tmp)
+                    np.multiply(1j * math.sin(th), tmp, out=tmp)
+                    np.multiply(math.cos(th), prev, out=vec)
+                    np.add(vec, tmp, out=vec)
                     extra = np.searchsorted(cum_term, rng.random(n), side="right")
                     for el in extra:
-                        vec = f_tab[el] * vec[g_tab[el]]
+                        vec.take(g_tab[el], out=tmp, mode="clip")
+                        np.multiply(f_tab[el], tmp, out=vec)
                     if n % 4 != 0:
-                        vec = -vec
-                    live[row] = vec
+                        np.negative(vec, out=vec)
             done = r_end
-        z[b] = psi[:r_b.size] @ psi0.conj()
-    p_re = np.clip(0.5 * (1.0 + z.real), 0.0, 1.0)
-    p_im = np.clip(0.5 * (1.0 + z.imag), 0.0, 1.0)
-    m_re = np.where(rng.random(n_rec) < p_re, 1.0, -1.0)
-    m_im = np.where(rng.random(n_rec) < p_im, 1.0, -1.0)
-    m = (m_re + 1j * m_im)[inv_order]
-    js_signed = plan.js[gid] * np.where(neg, -1, 1)
-    return SampleSet(js=js_signed, m=m, plan=plan)
+        z[b] = psi[:r_b.size] @ psi0_conj
 
 
 def _check_x(plan: Plan, x: float):

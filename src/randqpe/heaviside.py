@@ -37,10 +37,6 @@ class ApproxParams:
     def eps_total(self) -> float:
         return 0.5 * (self.eps1 + self.eps2 + self.eps3)
 
-    @property
-    def eps_range(self) -> float:
-        return 0.5 * (self.eps1 + self.eps2)
-
 
 @dataclass(frozen=True)
 class FourierSeries:

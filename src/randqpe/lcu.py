@@ -94,10 +94,6 @@ class LcuUnitary:
             self._factors = self._draw.factors()
         return self._factors
 
-    @property
-    def rotation_count(self) -> int:
-        return sum(1 for f in self.factors if isinstance(f, PauliRotation))
-
     def matrix(self, max_width: int = DENSE_QUBIT_CAP) -> np.ndarray:
         if self.width > max_width:
             raise ValueError(f"width {self.width} exceeds dense-matrix cap {max_width}")

@@ -81,10 +81,6 @@ class PauliString:
         zb = (self.z_bits >> q) & 1
         return ("I", "X", "Z", "Y")[xb + 2 * zb]
 
-    @property
-    def y_count(self) -> int:
-        return bin(self.x_bits & self.z_bits).count("1")
-
     def matrix(self, max_width: int = DENSE_QUBIT_CAP) -> np.ndarray:
         """Dense 2^n x 2^n matrix (qubit 0 = least significant index bit)."""
         _check_width(self.width, max_width)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,20 @@ def test_gated_infeasible_exit_3(ham_mix):
     assert run(["plan", "--ham", ham_mix, "--Delta", "0.3", "--eta", "0.8",
                 "--eps", "0.2", "--theta", "0.05", "--rmode", "gated",
                 "--g", "1.0"]) == 3
+
+
+@pytest.mark.parametrize("text", ["1e308 0\n1e308 0\n", "1e-200 0\n1e-200 0\n"],
+                         ids=["huge", "tiny"])
+def test_amplitude_file_norm_neither_overflows_nor_underflows(ham_z, tmp_path, text):
+    amps = tmp_path / "amps.txt"
+    amps.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["estimate-cdf", "--ham", ham_z, "--state", f"file:{amps}",
+                    "--Delta", "0.5", "--eta", "0.5", "--eps", "0.2", "--theta", "0.1",
+                    "--x", "0.1", "--seed", "1", "--out", str(tmp_path / "cdf.csv")]) == 0
+        state = prepare_state(f"file:{amps}")
+    assert state.amplitudes == pytest.approx([2 ** -0.5, 2 ** -0.5], rel=1e-15)
 
 
 class TestInputErrorsExit2:

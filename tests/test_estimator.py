@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -41,6 +43,23 @@ def record_means(plan, h, state):
 def block_count(plan, state):
     rows = max(1, estimator._BLOCK_BYTES // ((1 << state.width) * estimator._BYTES_PER_AMP))
     return -(-plan.complexities.c_sample // rows)
+
+
+MULTI_BLOCK_DIGEST = "aba433ab204d63520dce023ac8058dfa7e9e44fe746d5d7e9fae1665bf55f7fd"
+
+
+def record_digest(rec):
+    return hashlib.sha256(rec.js.tobytes() + rec.m.tobytes()).hexdigest()
+
+
+def multi_block_case(monkeypatch):
+    """The 3-qubit 'total' golden case with a budget of five blocks."""
+    h = random_hamiltonian(3, 5, seed=41)
+    s = backend.prepare_state("groundmix:0.8", h)
+    plan = small_plan(h)
+    budget_for_fifths(monkeypatch, plan, s)
+    assert block_count(plan, s) >= 5
+    return plan, s
 
 
 def budget_for_fifths(monkeypatch, plan, state):
@@ -171,16 +190,46 @@ class TestCollectSamples:
         assert hashlib.sha256(rec.js.tobytes() + rec.m.tobytes()).hexdigest() == digest
 
     def test_multi_block_stream_golden(self, monkeypatch):
-        # Pins a stream drawn in 5 blocks; the unblocked goldens above stay
-        # one block at the default budget.
-        h = random_hamiltonian(3, 5, seed=41)
-        s = backend.prepare_state("groundmix:0.8", h)
-        plan = small_plan(h)
-        budget_for_fifths(monkeypatch, plan, s)
-        assert block_count(plan, s) >= 5
+        # Pins a stream drawn in 11 half-budget blocks; the unblocked goldens
+        # above stay one block at the default budget.
+        plan, s = multi_block_case(monkeypatch)
         rec = estimator.collect_samples(plan, s, derive_rng(5))
-        assert hashlib.sha256(rec.js.tobytes() + rec.m.tobytes()).hexdigest() == (
-            "d2ff4583571c90f21e6378296c318b369c9700ed5779fedad84c1b201c5b7393")
+        assert record_digest(rec) == MULTI_BLOCK_DIGEST
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_multi_block_stream_independent_of_cpu_count(self, monkeypatch, cpus):
+        # a short switch interval interleaves the worker threads finely, so
+        # a block that wrote outside its own rows would change the digest
+        plan, s = multi_block_case(monkeypatch)
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rec = estimator.collect_samples(plan, s, derive_rng(5))
+        finally:
+            sys.setswitchinterval(interval)
+        assert record_digest(rec) == MULTI_BLOCK_DIGEST
+
+    def test_multi_block_error_reaches_caller_and_joins_workers(self, monkeypatch):
+        plan, s = multi_block_case(monkeypatch)
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+
+        class BlockFailed(Exception):
+            pass
+
+        class FailingGenerator:
+            def random(self, size=None):
+                raise BlockFailed
+
+        spawn = estimator._block_rngs
+        monkeypatch.setattr(estimator, "_block_rngs", lambda rng, n: [
+            FailingGenerator() if k == 3 else g for k, g in enumerate(spawn(rng, n))])
+        threads = threading.active_count()
+        # the traceback held in info keeps the call's locals, the pool
+        # included, alive: only a joined pool has no threads left here
+        with pytest.raises(BlockFailed) as info:
+            estimator.collect_samples(plan, s, derive_rng(5))
+        assert threading.active_count() == threads, info
 
     def test_multi_block_group_means_match_oracle(self, monkeypatch):
         # Five or six blocks per run: per signed group, the means of Re m and

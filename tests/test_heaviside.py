@@ -196,8 +196,9 @@ def test_range_bound_tighter_than_band():
     s = heaviside.build_fourier(heaviside.optimize_split(0.1, 0.1))
     xs = np.linspace(-math.pi, math.pi, 4001)
     vals = heaviside.eval_fourier(s, xs)
-    assert vals.min() >= -s.params.eps_range - 1e-12
-    assert vals.max() <= 1 + s.params.eps_range + 1e-12
+    eps_range = 0.5 * (s.params.eps1 + s.params.eps2)
+    assert vals.min() >= -eps_range - 1e-12
+    assert vals.max() <= 1 + eps_range + 1e-12
 
 
 def test_weight_bound_harmonic():

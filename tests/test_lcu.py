@@ -11,6 +11,10 @@ from randqpe import backend, lcu
 from randqpe._rng import derive_rng
 
 
+def rotation_count(u):
+    return sum(1 for f in u.factors if isinstance(f, lcu.PauliRotation))
+
+
 class TestSegmentDistribution:
     def test_time_zero(self):
         d = lcu.segment_distribution(0.0, 3, 8)
@@ -106,7 +110,7 @@ class TestSampleUnitary:
         hhat = h.normalized_distribution()
         dist = lcu.segment_distribution(2.2, 6, 8)
         u = lcu.sample_unitary(hhat, 2.2, 6, 8, derive_rng(1))
-        assert u.rotation_count == 6
+        assert rotation_count(u) == 6
         allowed = set(np.round(dist.thetas, 12))
         for f in u.factors:
             if isinstance(f, lcu.PauliRotation):
@@ -115,7 +119,7 @@ class TestSampleUnitary:
     def test_time_zero_gives_identity(self):
         h = random_hamiltonian(2, 3, seed=4)
         u = lcu.sample_unitary(h.normalized_distribution(), 0.0, 4, 8, derive_rng(5))
-        assert u.rotation_count == 4
+        assert rotation_count(u) == 4
         assert all(isinstance(f, lcu.PauliRotation) and f.angle == 0.0
                    for f in u.factors)
         np.testing.assert_allclose(u.matrix(), np.eye(4), atol=1e-12)

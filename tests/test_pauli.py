@@ -149,7 +149,7 @@ class TestMatrix:
         # down to the sign bits of zeros
         h = random_hamiltonian(width, min(3, 2 * width) + width, seed=70 + width)
         assert any(op.sign < 0 for _, op in h.terms)
-        assert any(op.pauli.y_count for _, op in h.terms)
+        assert any(op.pauli.x_bits & op.pauli.z_bits for _, op in h.terms)  # a Y factor
         ref = np.zeros((1 << width, 1 << width), dtype=complex)
         for w, op in h.terms:
             ref += w * op.matrix()
