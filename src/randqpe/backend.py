@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .lcu import LcuUnitary, PauliOp, PauliRotation, Phase
-from .pauli import DENSE_QUBIT_CAP, Hamiltonian, index_action
+from .pauli import Hamiltonian, _check_width, index_action
 
 # fixed stream for the deterministic pseudo-random orthogonal component
 _GROUNDMIX_SEED = 0x5EED_CAFE_F00D
@@ -61,8 +61,7 @@ class SpectralData:
         self.overlaps.flags.writeable = False
 
 
-def prepare_state(spec: str, h: Hamiltonian | None = None,
-                  max_width: int = DENSE_QUBIT_CAP) -> StateVector:
+def prepare_state(spec: str, h: Hamiltonian | None = None) -> StateVector:
     """Build an ansatz from 'basis:<bits>', 'file:<path>', or 'groundmix:<eta>'.
 
     groundmix takes a fixed pseudo-random vector w and the projector P onto
@@ -75,15 +74,15 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
     run, with no dense matrix (12 qubits, 40 terms: under a second and about
     10 MiB).  It hands over to one dense solve of the whole spectrum once it
     has found 8, or when a run fails to converge or leaves a residual above
-    1e-13 lambda.  All three descriptors are capped at max_width qubits.
+    1e-13 lambda.  All three descriptors are capped at 12 qubits
+    (`pauli.DENSE_QUBIT_CAP`).
     """
     kind, _, arg = spec.partition(":")
     if kind == "basis":
         if not arg or any(c not in "01" for c in arg):
             raise ValueError(f"bad basis descriptor {spec!r}")
         width = len(arg)
-        if width > max_width:
-            raise ValueError(f"width {width} exceeds cap {max_width}")
+        _check_width(width)
         index = sum(int(c) << q for q, c in enumerate(arg))
         amps = np.zeros(1 << width, dtype=complex)
         amps[index] = 1.0
@@ -103,8 +102,7 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
         width = len(rows).bit_length() - 1
         if 1 << width != len(rows):
             raise ValueError("amplitude count must be a power of two")
-        if width > max_width:
-            raise ValueError(f"width {width} exceeds cap {max_width}")
+        _check_width(width)
         parts = np.array(rows, dtype=complex).view(float)
         peak = np.abs(parts).max()
         if not 0 < peak < math.inf:
@@ -119,8 +117,7 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
         eta = float(arg)
         if not 0.0 < eta <= 1.0:
             raise ValueError("groundmix overlap must lie in (0, 1]")
-        if h.width > max_width:
-            raise ValueError(f"width {h.width} exceeds cap {max_width}")
+        _check_width(h.width)
         dim, tol = 1 << h.width, 1e-9 * h.lam
         if all(op.pauli.x_bits == 0 for _, op in h.terms):
             # I/Z terms only: H is diagonal, and the basis states of its
@@ -135,10 +132,10 @@ def prepare_state(spec: str, h: Hamiltonian | None = None,
                 # without a copy; conjugating its eigenvectors gives those of H.
                 # at 8 vectors or a failed run, Lanczos hands over the whole spectrum
                 subset = None if h.width >= _LANCZOS_WIDTH else [0, min(_MAX_GROUND, dim) - 1]
-                evals, evecs = scipy.linalg.eigh(h.matrix(max_width).T, overwrite_a=True,
+                evals, evecs = scipy.linalg.eigh(h.matrix().T, overwrite_a=True,
                                                  driver="evr", subset_by_index=subset)
                 if len(evals) < dim and evals[-1] <= evals[0] + tol:
-                    evals, evecs = scipy.linalg.eigh(h.matrix(max_width).T, overwrite_a=True,
+                    evals, evecs = scipy.linalg.eigh(h.matrix().T, overwrite_a=True,
                                                      driver="evr")
                 gspace = evecs[:, evals <= evals[0] + tol].conj()
             ground, n_ground = None, gspace.shape[1]
@@ -197,15 +194,22 @@ def _lanczos_ground_space(h: Hamiltonian, tol: float) -> np.ndarray | None:
 
 
 def apply_unitary(psi: np.ndarray, u: LcuUnitary) -> np.ndarray:
-    """Apply factors in order (factors[0] first) to a copy of psi."""
+    """Apply factors in order (factors[0] first) to a copy of psi.
+
+    psi is a state vector of length 2^n or a (2^n, k) stack of columns, each
+    column transformed as a state vector; `LcuUnitary.matrix` passes the
+    identity.
+    """
+    stack = psi.ndim == 2
     out = psi.copy()
     for f in u.factors:
-        if isinstance(f, PauliRotation):
+        if isinstance(f, (PauliRotation, PauliOp)):
             perm, phase = index_action(f.op)
-            out = math.cos(f.angle) * out + (1j * math.sin(f.angle)) * (phase * out[perm])
-        elif isinstance(f, PauliOp):
-            perm, phase = index_action(f.op)
-            out = phase * out[perm]
+            pm = (phase[:, None] if stack else phase) * out[perm]
+            if isinstance(f, PauliOp):
+                out = pm
+            else:
+                out = math.cos(f.angle) * out + (1j * math.sin(f.angle)) * pm
         elif isinstance(f, Phase):
             out = (1j ** (f.quarter_turns % 4)) * out
         else:
@@ -217,30 +221,35 @@ def expectation(state: StateVector, u: LcuUnitary) -> complex:
     """<psi| U |psi> with factors applied term by term in O(2^n) each."""
     if state.width != u.width:
         raise ValueError("state and unitary widths differ")
-    if state.width > DENSE_QUBIT_CAP:
-        raise ValueError(f"width {state.width} exceeds cap {DENSE_QUBIT_CAP}")
+    _check_width(state.width)
     return complex(np.vdot(state.amplitudes, apply_unitary(state.amplitudes, u)))
 
 
 def hadamard_sample(state: StateVector, u: LcuUnitary,
                     rng: np.random.Generator) -> complex:
     """One +-1 +-1i Hadamard-test outcome pair; E[m] equals <U> exactly."""
-    z = expectation(state, u)
-    p_re = min(max(0.5 * (1.0 + z.real), 0.0), 1.0)
-    p_im = min(max(0.5 * (1.0 + z.imag), 0.0), 1.0)
-    m_re = 1.0 if rng.random() < p_re else -1.0
-    m_im = 1.0 if rng.random() < p_im else -1.0
-    return complex(m_re, m_im)
+    return complex(_hadamard_outcomes(np.array([expectation(state, u)]), rng)[0])
 
 
-def exact_spectrum(h: Hamiltonian, state: StateVector,
-                   max_width: int = DENSE_QUBIT_CAP) -> SpectralData:
+def _hadamard_outcomes(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """+-1 +-1i outcomes with E[m_k] = z_k for |z_k| <= 1.
+
+    Draws every real part first, then every imaginary part: rng.random(n)
+    yields the doubles of n rng.random() calls, so one overlap gives the
+    stream of the scalar rule.  A uniform u in [0, 1) meets u < p exactly
+    when it meets u < clip(p, 0, 1), so the probabilities need no clip.
+    """
+    m_re = np.where(rng.random(z.size) < 0.5 * (1.0 + z.real), 1.0, -1.0)
+    m_im = np.where(rng.random(z.size) < 0.5 * (1.0 + z.imag), 1.0, -1.0)
+    return m_re + 1j * m_im
+
+
+def exact_spectrum(h: Hamiltonian, state: StateVector) -> SpectralData:
     """Dense eigendecomposition with degenerate groups merged at 1e-9 * lambda."""
     if h.width != state.width:
         raise ValueError("Hamiltonian and state widths differ")
-    if h.width > max_width:
-        raise ValueError(f"width {h.width} exceeds cap {max_width}")
-    evals, evecs = np.linalg.eigh(h.matrix(max_width))
+    _check_width(h.width)
+    evals, evecs = np.linalg.eigh(h.matrix())
     w = np.abs(evecs.conj().T @ state.amplitudes) ** 2
     tol = 1e-9 * h.lam
     grouped_e, grouped_w = [], []

@@ -100,6 +100,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_sample_lcu(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
     h = parse_hamiltonian(Path(args.ham).read_text())
     rng = derive_rng(args.seed)
     hhat = h.normalized_distribution()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import runtime
-from .backend import StateVector, exact_spectrum
+from .backend import StateVector, _hadamard_outcomes, exact_spectrum
 from .heaviside import FourierSeries, build_fourier, eval_fourier, optimize_split
 from .lcu import segment_distribution, truncation_order
 from .pauli import Hamiltonian, index_action
@@ -108,22 +108,18 @@ def _check_plan_args(lam: float, Delta: float, eta: float, eps: float, b: float)
 
 
 def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float, theta: float,
-               b: float = 1.0, rmode: str = "total", g: float | None = None,
-               delta_scale: float = 1.0) -> Plan:
+               b: float = 1.0, rmode: str = "total", g: float | None = None) -> Plan:
     """Assemble tau, filter, runtime vector, truncation order, and budgets.
 
     rmode selects the runtime vector: 'constant' (r_j = ceil(2 t_j^2)),
     'total' (minimize 2 c_sample c_gate), or 'gated' (minimize c_sample
-    subject to expected gates <= g).  delta_scale 0.5 is the ground-state
-    search setting; 1.0 the plain thresholding one.
+    subject to expected gates <= g).  delta is tau Delta, the plain
+    thresholding setting; `ground_energy` halves it.
     """
     _check_plan_args(h.lam, Delta, eta, eps, b)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be a probability")
-    if not 0.0 < delta_scale <= 1.0:
-        raise ValueError("delta_scale must lie in (0, 1]")
-    return _assemble(h, _window(h.lam, Delta, b, eps, delta_scale), eta, eps, theta,
-                     b, rmode, g)
+    return _assemble(h, _window(h.lam, Delta, b, eps), eta, eps, theta, b, rmode, g)
 
 
 def _assemble(h: Hamiltonian, window, eta: float, eps: float, theta: float, b: float,
@@ -198,11 +194,8 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     # per-group segment tables (orders share the truncation M)
     segs = [segment_distribution(float(t), int(r), plan.M)
             for t, r in zip(plan.times, plan.rvec)]
-    q_cum, thetas = np.empty((2, len(segs), len(segs[0].orders)))
-    for i, s in enumerate(segs):
-        q_cum[i] = np.cumsum(s.probs)
-        thetas[i] = s.thetas
-    q_cum[:, -1] = 1.0
+    q_cum = np.array([s.cum_probs for s in segs])
+    thetas = np.array([s.thetas for s in segs])
 
     # records sorted by descending segment count; active prefix shrinks
     r_rec = plan.rvec[gid]
@@ -239,11 +232,7 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
                        for share in shares]
             for f in futures:
                 f.result()
-    p_re = np.clip(0.5 * (1.0 + z.real), 0.0, 1.0)
-    p_im = np.clip(0.5 * (1.0 + z.imag), 0.0, 1.0)
-    m_re = np.where(rng.random(n_rec) < p_re, 1.0, -1.0)
-    m_im = np.where(rng.random(n_rec) < p_im, 1.0, -1.0)
-    m = (m_re + 1j * m_im)[inv_order]
+    m = _hadamard_outcomes(z, rng)[inv_order]
     js_signed = plan.js[gid] * np.where(neg, -1, 1)
     return SampleSet(js=js_signed, m=m, plan=plan)
 
@@ -324,7 +313,7 @@ def _run_blocks(blocks, rngs, recs, tables, z):
 
 
 def _check_x(plan: Plan, x: float):
-    if abs(x) > plan.x_max + 1e-12:
+    if not abs(x) <= plan.x_max + 1e-12:
         raise ValueError(f"threshold x={x} outside certified window +-{plan.x_max:.6g}")
 
 

@@ -140,11 +140,12 @@ def _golden_min(fun, lo, hi, iters=40):
 
 
 @functools.lru_cache(maxsize=128)
-def optimize_split(delta: float, eps: float, grid: int = 20) -> ApproxParams:
+def optimize_split(delta: float, eps: float) -> ApproxParams:
     """Minimize d over error splits eps1 + eps2 + eps3 = 2 * eps.
 
-    Simplex grid search followed by golden-section refinement along each
-    of the two free axes; never returns a split worse than the equal one.
+    Simplex grid search in steps of 2 eps / 20, followed by golden-section
+    refinement along each of the two free axes; never returns a split worse
+    than the equal one.
     ValueError if eps lies outside EPS_RANGE or the chosen split needs
     d > MAX_DEGREE.
     """
@@ -152,7 +153,7 @@ def optimize_split(delta: float, eps: float, grid: int = 20) -> ApproxParams:
         raise ValueError("delta must lie in (0, pi/2)")
     if not EPS_RANGE[0] <= eps <= EPS_RANGE[1]:
         raise ValueError(f"eps = {eps!r} lies outside [{EPS_RANGE[0]:g}, {EPS_RANGE[1]:g}]")
-    total = 2.0 * eps
+    total, grid = 2.0 * eps, 20
     candidates = [(total / 3.0, total / 3.0)]
     best = None
     for i in range(1, grid):

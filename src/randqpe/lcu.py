@@ -14,12 +14,12 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from . import specfun
-from .pauli import DENSE_QUBIT_CAP, SignedPauli, index_action
+from .pauli import SignedPauli, _check_width
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class Phase:
     """Scalar factor i^quarter_turns."""
 
     quarter_turns: int
-
-
-LcuFactor = Union[PauliRotation, PauliOp, Phase]
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,9 @@ class LcuUnitary:
         self.width = width
         self._factors = tuple(factors)
         self._draw = None
+        for f in self._factors:
+            if not isinstance(f, Phase) and f.op.width != width:
+                raise ValueError(f"factor {f!r} has width {f.op.width}, not {width}")
 
     @classmethod
     def _drawn(cls, width: int, draw: _Draw) -> LcuUnitary:
@@ -94,17 +94,14 @@ class LcuUnitary:
             self._factors = self._draw.factors()
         return self._factors
 
-    def matrix(self, max_width: int = DENSE_QUBIT_CAP) -> np.ndarray:
-        if self.width > max_width:
-            raise ValueError(f"width {self.width} exceeds dense-matrix cap {max_width}")
+    def matrix(self) -> np.ndarray:
+        _check_width(self.width)
         if self._draw is not None:
             tables = _term_tables(self._draw.ops, self._draw.dist.x, self._draw.dist.M)
             if tables is not None:
                 return self._draw.matrix(*tables)
-        m = np.eye(1 << self.width, dtype=complex)
-        for f in self.factors:
-            m = _apply_factor_to_matrix(f, m)
-        return m
+        from .backend import apply_unitary  # backend imports this module
+        return apply_unitary(np.eye(1 << self.width, dtype=complex), self)
 
     def serialize(self) -> str:
         lines = []
@@ -239,17 +236,6 @@ def _term_tables(ops: tuple, x: float, M: int):
     return tables
 
 
-def _apply_factor_to_matrix(f: LcuFactor, m: np.ndarray) -> np.ndarray:
-    """f @ m, with Pauli factors applied as row permutations and phases."""
-    if isinstance(f, Phase):
-        return (1j ** (f.quarter_turns % 4)) * m
-    perm, phase = index_action(f.op)
-    pm = phase[:, None] * m[perm]
-    if isinstance(f, PauliOp):
-        return pm
-    return math.cos(f.angle) * m + (1j * math.sin(f.angle)) * pm
-
-
 def _segment_terms(x, M: int):
     """Unnormalized weights |x|^n/n! sqrt(1+(x/(n+1))^2) for even n <= M.
 
@@ -275,6 +261,8 @@ def segment_weight(x, M: int):
 @functools.lru_cache(maxsize=16384)
 def segment_distribution(t: float, r: int, M: int) -> SegmentDistribution:
     """Normalized order distribution, angles, and weight for segments of t/r."""
+    if not math.isfinite(t):
+        raise ValueError(f"t = {t!r} is not finite")
     if r < 1:
         raise ValueError("r must be >= 1")
     if M < 0 or M % 2 != 0:
@@ -283,6 +271,8 @@ def segment_distribution(t: float, r: int, M: int) -> SegmentDistribution:
     orders, w = _segment_terms(x, M)
     w = w[0]
     mu = float(w.sum())
+    if mu == math.inf:
+        raise ValueError(f"segment weight at t/r = {x!r} overflows")
     return SegmentDistribution(x=x, M=M, orders=orders, probs=w / mu,
                                thetas=_rotation_angles(x, M), mu_segment=mu)
 
@@ -316,13 +306,14 @@ def truncation_order(gamma: float, weight_A: float, cgate: float) -> int:
     return 2 * math.ceil(bound / 2.0)
 
 
-def truncation_bias_bound(t: float, r: int, M: int, tail_terms: int = 80) -> float:
+def truncation_bias_bound(t: float, r: int, M: int) -> float:
     """Operator-norm bound on ||truncated LCU - exp(i H t/lambda)||.
 
-    r * mu_segment_full^(r-1) * (full - truncated segment weight).
+    r * mu_segment_full^(r-1) * (full - truncated segment weight), with the
+    full weight summed to order M + 160.
     """
     x = t / r
-    big = max(M + 2 * tail_terms, 40)
+    big = max(M + 160, 40)
     full = segment_weight(x, big)
     tail = full - segment_weight(x, M)
     return r * full ** (r - 1) * max(tail, 0.0)

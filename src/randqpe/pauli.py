@@ -39,9 +39,9 @@ _PHASE_POWER = {
 _QUARTER = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-def _check_width(width, max_width):
-    if width > max_width:
-        raise ValueError(f"width {width} exceeds dense-matrix cap {max_width}")
+def _check_width(width: int):
+    if width > DENSE_QUBIT_CAP:
+        raise ValueError(f"width {width} exceeds cap {DENSE_QUBIT_CAP}")
 
 
 class PauliString:
@@ -81,9 +81,9 @@ class PauliString:
         zb = (self.z_bits >> q) & 1
         return ("I", "X", "Z", "Y")[xb + 2 * zb]
 
-    def matrix(self, max_width: int = DENSE_QUBIT_CAP) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (qubit 0 = least significant index bit)."""
-        _check_width(self.width, max_width)
+        _check_width(self.width)
         dim = 1 << self.width
         perm, phase = _index_action(self.x_bits, self.z_bits, self.width, 1)
         m = np.zeros((dim, dim), dtype=complex)
@@ -118,8 +118,8 @@ class SignedPauli:
     def width(self) -> int:
         return self.pauli.width
 
-    def matrix(self, max_width: int = DENSE_QUBIT_CAP) -> np.ndarray:
-        return self.sign * self.pauli.matrix(max_width)
+    def matrix(self) -> np.ndarray:
+        return self.sign * self.pauli.matrix()
 
     def word(self) -> str:
         return ("-" if self.sign < 0 else "") + self.pauli.axes
@@ -207,17 +207,17 @@ class Hamiltonian:
         """Probabilities p_l = weight_l / lambda paired with the operators."""
         return [(w / self.lam, op) for w, op in self.terms]
 
-    def matrix(self, max_width: int = DENSE_QUBIT_CAP) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         # toarray adds each stored entry onto +0, as a scatter into zeros would
-        return self.sparse(max_width).toarray()
+        return self.sparse().toarray()
 
-    def sparse(self, max_width: int = DENSE_QUBIT_CAP) -> scipy.sparse.csr_array:
+    def sparse(self) -> scipy.sparse.csr_array:
         """The matrix in CSR form, built from the cached index_action tables.
 
         Terms with the same x_bits share one permutation, so their entries are
         summed in term order: each row stores one entry per distinct x_bits.
         """
-        _check_width(self.width, max_width)
+        _check_width(self.width)
         dim = 1 << self.width
         cols, vals = {}, {}
         for w, op in self.terms:

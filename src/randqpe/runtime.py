@@ -223,15 +223,15 @@ def gate_floor(weights, times) -> float:
     return gates.at(s_min * (1.0 - 1e-15))
 
 
-def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarray:
+def minimize_samples(weights, times, g: float) -> np.ndarray:
     """Minimize the sample count subject to expected gate count S(r) = g.
 
     The Lagrange condition yields the same one-parameter family as the
     total-complexity problem, with the multiplier entering through
     s = 1/lambda - g; S(R(s)) = g is solved by brentq in ln(s - s_min), in
     which S is close to linear.  Entries are clamped to max(1, |t_j|) so
-    truncation bounds stay applicable, and rounded with a relative slack on
-    g, retrying at 2% lower targets; a failed retry at s_min is final.
+    truncation bounds stay applicable, and rounded with a relative slack of
+    1% on g, retrying at 2% lower targets; a failed retry at s_min is final.
     """
     w, t = _validate(weights, times)
     if math.isnan(g) or g == math.inf:
@@ -244,7 +244,7 @@ def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarra
     floor = gates.at(s_min)
     if g < floor * (1.0 - 1e-12):
         raise FeasibilityError(f"gate budget {g:.6g} below feasibility floor {floor:.6g}")
-    target = g
+    target, g_cap = g, g * (1.0 + 0.01)
     for _ in range(8):
         if floor >= target:
             s_star = s_min
@@ -260,14 +260,14 @@ def minimize_samples(weights, times, g: float, slack: float = 0.01) -> np.ndarra
                 _gap_in_ln, math.log(-s_min) - 40.0, math.log(hi - s_min),
                 args=(gates, s_min, target), xtol=1e-15, rtol=1e-15, maxiter=200))
         r = np.maximum(np.round(gates.r_of_s(s_star)), np.ceil(lb - 1e-9)).astype(np.int64)
-        feasible = gates.of_r(r.astype(float)) <= g * (1.0 + slack)
+        feasible = gates.of_r(r.astype(float)) <= g_cap
         if feasible or floor >= target:  # past the floor every retry repeats s_min
             break
         target *= 0.98
     if not feasible:
         raise FeasibilityError("rounding could not satisfy the gate budget")
     if r.size <= 256:
-        r = _polish(w, gates.t2, lb, r, g * (1.0 + slack))
+        r = _polish(w, gates.t2, lb, r, g_cap)
     return r
 
 

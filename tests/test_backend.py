@@ -237,6 +237,19 @@ class TestExpectation:
             assert direct == pytest.approx(dense, abs=1e-10)
             assert abs(direct) <= 1 + 1e-10
 
+    def test_stack_of_columns_matches_one_at_a_time(self):
+        # three columns of length 8: a phase broadcast along the wrong axis
+        # fails to broadcast or mixes columns
+        h = random_hamiltonian(3, 6, seed=8)
+        u = lcu.parse_lcu(lcu.sample_unitary(h.normalized_distribution(), 2.3, 3, 8,
+                                             derive_rng(4)).serialize() + "PHASE 1\n", 3)
+        cols = derive_rng(5).standard_normal((8, 3)) + 1j * derive_rng(6).standard_normal((8, 3))
+        assert {type(f) for f in u.factors} == {lcu.PauliRotation, lcu.PauliOp, lcu.Phase}
+        out = backend.apply_unitary(cols, u)
+        assert out.shape == (8, 3)
+        for k in range(3):
+            np.testing.assert_array_equal(out[:, k], backend.apply_unitary(cols[:, k], u))
+
     def test_width_mismatch(self):
         s = backend.prepare_state("basis:00")
         u = lcu.LcuUnitary((), width=1)

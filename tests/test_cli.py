@@ -226,3 +226,23 @@ class TestInputErrorsExit2:
         assert run(["plan", "--ham", str(ham), "--Delta", "0.1", "--eta", "1",
                     "--theta", "0.1"]) == 2
         assert frag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("opt, frag", [
+        ("--t=nan", "t = nan is not finite"),
+        ("--t=inf", "t = inf is not finite"),
+        ("--count=-3", "count must be >= 1"),
+        ("--count=0", "count must be >= 1"),
+    ])
+    def test_sample_lcu_edge_inputs(self, ham_mix, capsys, opt, frag):
+        argv = {"--t": "--t=-1.5", "--count": "--count=2"}
+        argv[opt.split("=")[0]] = opt
+        assert run(["sample-lcu", "--ham", ham_mix, "--r", "5", "--M", "8", "--seed", "1",
+                    *argv.values()]) == 2
+        out = capsys.readouterr()
+        assert frag in out.err and out.out == ""
+
+    def test_nan_threshold(self, ham_z, capsys):
+        assert run(["estimate-cdf", "--ham", ham_z, "--state", "basis:0", "--Delta", "0.2",
+                    "--eta", "1", "--eps", "0.2", "--theta", "0.05", "--x=0.1,nan",
+                    "--seed", "4"]) == 2
+        assert "threshold x=nan outside certified window" in capsys.readouterr().err

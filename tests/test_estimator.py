@@ -15,10 +15,8 @@ from randqpe import backend, estimator, runtime
 from randqpe._rng import derive_rng
 
 
-def small_plan(h, eta=0.8, eps=0.2, theta=0.05, Delta_frac=0.3, rmode="total",
-               delta_scale=1.0):
-    return estimator.build_plan(h, Delta_frac * h.lam, eta, eps, theta,
-                                rmode=rmode, delta_scale=delta_scale)
+def small_plan(h, eta=0.8, eps=0.2, theta=0.05, Delta_frac=0.3, rmode="total"):
+    return estimator.build_plan(h, Delta_frac * h.lam, eta, eps, theta, rmode=rmode)
 
 
 def record_means(plan, h, state):
@@ -91,8 +89,10 @@ class TestBuildPlan:
         p = small_plan(h)
         np.testing.assert_allclose(p.times, -p.js * p.tau * h.lam, rtol=1e-15)
         assert p.delta == pytest.approx(p.tau * 0.3 * h.lam, rel=1e-12)
-        g = small_plan(h, delta_scale=0.5)
-        assert g.delta == pytest.approx(0.5 * p.delta, rel=1e-12)
+        # the ground-state search halves delta through the shared window
+        tau, delta = estimator._window(h.lam, 0.3 * h.lam, 1.0, 0.2, delta_scale=0.5)[:2]
+        assert tau == p.tau
+        assert delta == pytest.approx(0.5 * p.delta, rel=1e-12)
 
     def test_margin_accounting(self):
         h = random_hamiltonian(2, 3, seed=35)

@@ -47,6 +47,11 @@ class TestSegmentDistribution:
             lcu.segment_distribution(1.0, 0, 4)
         with pytest.raises(ValueError):
             lcu.segment_distribution(1.0, 1, 3)
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                lcu.segment_distribution(t, 1, 4)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            lcu.segment_distribution(1e300, 1, 8)
 
 
 class TestTruncationOrder:
@@ -243,6 +248,10 @@ class TestSerialization:
         v = lcu.parse_lcu(u.serialize())
         assert v.serialize() == u.serialize()
         np.testing.assert_allclose(v.matrix(), u.matrix(), atol=1e-10)
+
+    def test_factor_width_must_match(self):
+        with pytest.raises(ValueError, match="width 3, not 2"):
+            lcu.parse_lcu("ROT +0.1 XZ\nPAULI XZZ\n")
 
     def test_phase_line(self):
         u = lcu.LcuUnitary((lcu.Phase(2),), width=1)

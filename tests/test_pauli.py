@@ -179,20 +179,21 @@ class TestMatrix:
         assert a.nnz == len({op.pauli.x_bits for _, op in h.terms}) << h.width
         assert np.array_equal(a.toarray(), sum(w * op.matrix() for w, op in h.terms))
 
-    def test_width_cap(self):
-        h = random_hamiltonian(6, 20, seed=12)
+    def test_width_cap_sparse_and_dense(self):
+        h = parse_hamiltonian("1.0 " + "X" * 13 + "\n0.5 " + "Z" * 13)
         for build in (h.sparse, h.matrix):
-            with pytest.raises(ValueError, match="cap 5"):
-                build(max_width=5)
+            with pytest.raises(ValueError, match="width 13 exceeds cap 12"):
+                build()
 
     def test_hermitian(self):
         m = random_hamiltonian(4, 8, seed=2).matrix()
         np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
 
     def test_width_cap(self):
-        h = parse_hamiltonian("1.0 " + "Z" * 3)
-        with pytest.raises(ValueError, match="cap"):
-            h.matrix(max_width=2)
+        op = SignedPauli.from_word("Z" * 13)
+        for build in (op.pauli.matrix, op.matrix):
+            with pytest.raises(ValueError, match="width 13 exceeds cap 12"):
+                build()
 
     def test_spectral_norm_below_lambda(self):
         for seed in range(5):

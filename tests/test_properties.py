@@ -131,6 +131,14 @@ def test_fourier_exits_0_2_or_3(delta, eps):
     assert _exit_code(["fourier"], {"delta": delta, "eps": eps}) in (0, 2, 3)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(t=_arg(-4.0, 4.0), r=st.integers(-2, 6), M=st.integers(-2, 10),
+       count=st.integers(-2, 3))
+def test_sample_lcu_exits_0_2_or_3(t, r, M, count, tmp_path_factory):
+    argv = ["sample-lcu", f"--ham={_ham_file(tmp_path_factory)}", "--seed=5"]
+    assert _exit_code(argv, {"t": t, "r": r, "M": M, "count": count}) in (0, 2, 3)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(Delta=_arg(0.2, 0.6), eta=_arg(0.8, 1.0), eps=_arg(0.05, 0.2), b=_arg(1.0, 1.5),
        theta=_arg(0.01, 0.3), state=st.sampled_from(["basis:01", "groundmix:0.8"]))
