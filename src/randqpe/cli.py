@@ -145,6 +145,8 @@ def _cmd_ground_energy(args) -> int:
 
 def _cmd_resource_curve(args) -> int:
     eps_list = [float(v) for v in args.eps.split(",") if v]
+    if not eps_list:
+        raise ValueError(f"--eps needs at least one value, got {args.eps!r}")
     for eps in eps_list:
         points = resources.tradeoff_curve(args.lam, args.Delta, args.eta, [eps],
                                           b=args.b, n_grid=args.ngrid)

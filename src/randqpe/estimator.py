@@ -10,7 +10,6 @@ single quantum data set.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -21,6 +20,7 @@ from .backend import StateVector, _hadamard_outcomes, exact_spectrum
 from .heaviside import FourierSeries, build_fourier, eval_fourier, optimize_split
 from .lcu import segment_distribution, truncation_order
 from .pauli import Hamiltonian, index_action
+from .runtime import _usable_cpus
 
 # Per amplitude a record's state (complex), index (int64), phase and gather
 # (complex) buffers cost _BYTES_PER_AMP bytes; the blocks collect_samples
@@ -235,13 +235,6 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     m = _hadamard_outcomes(z, rng)[inv_order]
     js_signed = plan.js[gid] * np.where(neg, -1, 1)
     return SampleSet(js=js_signed, m=m, plan=plan)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _block_rngs(rng: np.random.Generator, n: int) -> list:

@@ -319,6 +319,27 @@ def truncation_bias_bound(t: float, r: int, M: int) -> float:
     return r * full ** (r - 1) * max(tail, 0.0)
 
 
+# the last operator tuple whose widths _check_term_widths accepted
+_width_checked: tuple = ()
+
+
+def _check_term_widths(ops: tuple) -> None:
+    """Raise ValueError unless every operator in ops has the same width.
+
+    A repeat of the last accepted tuple costs one tuple comparison, which
+    compares identical items by identity, so a stream of draws from one
+    hhat checks its widths once.
+    """
+    global _width_checked
+    if ops == _width_checked:
+        return
+    for i, op in enumerate(ops):
+        if op.width != ops[0].width:
+            raise ValueError(f"hhat terms must share one width: term 0 has width "
+                             f"{ops[0].width}, term {i} has width {op.width}")
+    _width_checked = ops
+
+
 def sample_unitary(hhat, t: float, r: int, M: int, rng: np.random.Generator) -> LcuUnitary:
     """Draw one unitary whose weighted mean reproduces exp(i H t / lambda).
 
@@ -333,6 +354,7 @@ def sample_unitary(hhat, t: float, r: int, M: int, rng: np.random.Generator) -> 
     if not abs(math.fsum(probs) - 1.0) <= 1e-9 or min(probs) < 0:
         raise ValueError("hhat must be a normalized distribution")
     ops = tuple([op for _, op in hhat])
+    _check_term_widths(ops)
     dist = segment_distribution(float(t), int(r), int(M))
     sgn = 1.0 if t >= 0 else -1.0
     # the ndarray method skips np.searchsorted's dispatch, a third of its cost

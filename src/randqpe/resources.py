@@ -123,6 +123,8 @@ def tradeoff_curve(lam: float, Delta: float, eta: float, eps_list, b: float = 1.
         raise ValueError("b must be >= 1")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
+    if n_grid < 0:
+        raise ValueError(f"n_grid must be >= 0, got {n_grid}")
     eps_list = list(eps_list)
     for eps in eps_list:
         if not 0.0 < eps < eta / 2.0:

@@ -6,13 +6,17 @@ All operations work on parallel arrays over the sampled Fourier indices
 weight bound u_j = exp(t_j^2 / r_j); results are rounded to integers and
 reported with exact truncated weights on request.  The optimizers evaluate
 the expected gate count S(r) through one evaluator per (weights, times),
-`_Gates`, and hand it to their brentq objectives through args=.
+`_Gates`, and hand it to their brentq objectives through args=.  Inside a
+public call, `_Gates` runs its leaves on up to two threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import weakref
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +78,8 @@ def weight_and_gates(weights, mu, r) -> tuple[float, float]:
 
 # numpy sums a contiguous float64 array pairwise: a block of more than 128
 # entries splits at n2 = n//2 - (n//2) % 8.  _Gates sums leaves of at most
-# _LEAF entries of that tree, so its buffers stay cache-sized
+# _LEAF entries of that tree, so its buffers stay cache-sized; smaller leaves
+# cost more in hand-offs of the GIL between the two threads than they save
 _LEAF = 1 << 16
 # entries a shared memo of S by s may hold before a new one replaces it
 _MEMO_CAP = 4096
@@ -102,6 +107,37 @@ def _shared_memo(w, t, clamp: bool) -> dict:
     return memo
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the one count behind every thread pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split(n: int) -> int:
+    return n // 2 - (n // 2) % 8
+
+
+def _leaves(lo: int, n: int) -> list:
+    """(lo, hi) of each leaf of the summation tree over entries lo:lo+n, in order."""
+    if n <= _LEAF:
+        return [(lo, lo + n)]
+    n2 = _split(n)
+    return _leaves(lo, n2) + _leaves(lo + n2, n - n2)
+
+
+def _tree_sum(sums, n: int, k: int = 0):
+    """Leaf sums sums[k:] of a block of n entries added as numpy does,
+    (left) + (right); returns the block's sums and the next leaf index."""
+    if n <= _LEAF:
+        return sums[k], k + 1
+    n2 = _split(n)
+    (a1, b1), k = _tree_sum(sums, n2, k)
+    (a2, b2), k = _tree_sum(sums, n - n2, k)
+    return (a1 + a2, b1 + b2), k
+
+
 class _Gates:
     """S(r) = sum w u r / sum w u, u = exp(t^2/r), evaluated leaf by leaf.
 
@@ -117,16 +153,56 @@ class _Gates:
     temporary; a test pins this against numpy.  r_of_s alone returns a
     whole array.  S is memoized by s, and the memo is shared across calls
     on the same read-only arrays (_shared_memo).
+
+    Used as a context manager, it computes the leaves of an S on the
+    calling thread and, for a problem of more than one leaf, on one worker
+    thread started at the first such S and joined on exit, if two CPUs are
+    usable.  Each thread takes the next leaf not yet taken and writes its
+    sums to that leaf's slot; the slots are added in tree order once both
+    are done, so S keeps its bits for any thread count and timing.  Only
+    the calling thread allocates: one pair of leaf buffers per thread.
     """
 
     def __init__(self, w, t, clamp: bool):
-        self.w, self.t2 = w, t * t
+        self.w, self.t, self.t2 = w, t, t * t
         self.half_t2 = 0.5 * self.t2
         self.head = np.flatnonzero(np.abs(t) < 2.0) if clamp else np.empty(0, np.intp)
         self.lb_head = np.maximum(1.0, np.abs(t[self.head]))
-        leaf = min(t.size, _LEAF)
-        self.rb, self.ub = np.empty(leaf), np.empty(leaf)
+        self.bufs = [self._buffers()]
         self.memo = _shared_memo(w, t, clamp)
+        self.threads = 1
+        self.worker = None
+
+    def _buffers(self):
+        leaf = min(self.t2.size, _LEAF)
+        return np.empty(leaf), np.empty(leaf)
+
+    def __enter__(self):
+        self.threads = min(2, _usable_cpus())
+        return self
+
+    def __exit__(self, *exc):
+        if self.worker is not None:
+            self.job = None
+            self.go.release()
+            self.worker.join()
+            self.worker = None
+
+    def _start_worker(self):
+        self.bufs.append(self._buffers())
+        self.go, self.done = threading.Semaphore(0), threading.Semaphore(0)
+        self.worker = threading.Thread(target=self._serve, args=self.bufs[1],
+                                       name="randqpe-leaf-walk", daemon=True)
+        self.worker.start()
+
+    def _serve(self, rb, ub):
+        while True:
+            self.go.acquire()
+            job = self.job
+            if job is None:
+                return
+            self._drain(job, rb, ub)
+            self.done.release()
 
     def _fill_r(self, s: float, lo: int, hi: int, out) -> np.ndarray:
         """R(s) on the entries lo:hi, written to out."""
@@ -147,30 +223,75 @@ class _Gates:
     def at(self, s: float) -> float:
         """S(R(s)), memoized by s."""
         if s not in self.memo:
-            self.memo[s] = self.evaluate(
-                lambda lo, hi: self._fill_r(s, lo, hi, self.rb[:hi - lo]))
+            self.memo[s] = self.evaluate(lambda lo, hi, rb, ub: self._fill_r(s, lo, hi, rb))
         return self.memo[s]
 
     def of_r(self, r) -> float:
         """S(r) for a whole runtime vector r."""
-        return self.evaluate(lambda lo, hi: r[lo:hi])
+        return self.evaluate(lambda lo, hi, rb, ub: r[lo:hi])
+
+    def rounded(self, s: float) -> tuple[np.ndarray, float]:
+        """r = max(round(R(s)), ceil(max(1, |t|) - 1e-9)) as int64, and S(r).
+
+        Each leaf writes its entries of r, then S reads them as int64, which
+        casts them as r.astype(float) would.
+        """
+        r = np.empty(self.t2.size, dtype=np.int64)
+
+        def r_leaf(lo, hi, rb, ub):
+            rr = np.round(self._fill_r(s, lo, hi, rb), out=rb)
+            lb = np.maximum(1.0, np.abs(self.t[lo:hi], out=ub), out=ub)
+            lb -= 1e-9
+            np.ceil(lb, out=lb)
+            np.copyto(r[lo:hi], np.maximum(rr, lb, out=rr), casting="unsafe")
+            return r[lo:hi]
+        return r, self.evaluate(r_leaf)
 
     def evaluate(self, r_leaf) -> float:
-        """S from r_leaf(lo, hi), the runtime entries lo:hi: every S(r) the
+        """S from r_leaf(lo, hi, rb, ub), the runtime entries lo:hi, which may
+        use the leaf buffers rb and ub and may return rb: every S(r) the
         optimizers use is evaluated here."""
         a, b = self._walk(r_leaf, 0, self.t2.size)
         return b / a
 
     def _walk(self, r_leaf, lo: int, n: int) -> tuple[float, float]:
-        if n > _LEAF:
-            n2 = n // 2 - (n // 2) % 8
-            a1, b1 = self._walk(r_leaf, lo, n2)
-            a2, b2 = self._walk(r_leaf, lo + n2, n - n2)
-            return a1 + a2, b1 + b2
-        r = r_leaf(lo, lo + n)
-        u = np.divide(self.t2[lo:lo + n], r, out=self.ub[:n])
+        leaves = _leaves(lo, n)
+        sums, errors = [None] * len(leaves), []
+        job = (r_leaf, leaves, sums, errors, deque(range(len(leaves))))
+        helped = self.threads > 1 and len(leaves) > 1
+        if helped:
+            if self.worker is None:
+                self._start_worker()
+            self.job = job
+            self.go.release()
+        try:
+            self._drain(job, *self.bufs[0])
+        finally:
+            if helped:
+                self.done.acquire()
+        if errors:
+            raise errors[0]
+        return _tree_sum(sums, n)[0]
+
+    def _drain(self, job, rb, ub):
+        """Sum leaves of the job until none is left or one has raised."""
+        r_leaf, leaves, sums, errors, todo = job
+        while not errors:
+            try:
+                k = todo.popleft()  # deque pops are thread-safe
+            except IndexError:
+                return
+            lo, hi = leaves[k]
+            try:
+                sums[k] = self._leaf(r_leaf, lo, hi, rb[:hi - lo], ub[:hi - lo])
+            except BaseException as exc:  # re-raised by the calling thread
+                errors.append(exc)
+
+    def _leaf(self, r_leaf, lo: int, hi: int, rb, ub) -> tuple[float, float]:
+        r = r_leaf(lo, hi, rb, ub)
+        u = np.divide(self.t2[lo:hi], r, out=ub)
         np.exp(u, out=u)
-        u *= self.w[lo:lo + n]
+        u *= self.w[lo:hi]
         a = float(u.sum())
         u *= r
         return a, float(u.sum())
@@ -192,19 +313,21 @@ def minimize_total(weights, times) -> np.ndarray:
     Stationarity gives r_j = (t_j^2/2)(1 + sqrt(1 + 4 s / t_j^2)) where the
     scalar s solves s = S(R(s)); s is bracketed in (0, 2 t_max^2].
     """
-    gates = _Gates(*_validate(weights, times), clamp=False)
-    r_real = gates.r_of_s(_fixed_point(gates))
+    with _Gates(*_validate(weights, times), clamp=False) as gates:
+        r_real = gates.r_of_s(_fixed_point(gates))
     return np.maximum(np.round(r_real), 1.0).astype(np.int64)
 
 
 def fixed_point_residual(weights, times, s: float) -> float:
     """|s - S(R(s))| / s, for tests of the fixed-point solve."""
-    return abs(_gap(s, _Gates(*_validate(weights, times), clamp=False))) / abs(s)
+    with _Gates(*_validate(weights, times), clamp=False) as gates:
+        return abs(_gap(s, gates)) / abs(s)
 
 
 def solve_fixed_point(weights, times) -> float:
     """The scalar s* behind minimize_total (pre-rounding)."""
-    return _fixed_point(_Gates(*_validate(weights, times), clamp=False))
+    with _Gates(*_validate(weights, times), clamp=False) as gates:
+        return _fixed_point(gates)
 
 
 def _fixed_point(gates) -> float:
@@ -218,9 +341,8 @@ def _fixed_point(gates) -> float:
 
 def gate_floor(weights, times) -> float:
     """Smallest expected gate count reachable by the constrained family."""
-    gates = _Gates(*_validate(weights, times), clamp=True)
-    s_min = -0.25 * float(gates.t2.min())
-    return gates.at(s_min * (1.0 - 1e-15))
+    with _Gates(*_validate(weights, times), clamp=True) as gates:
+        return gates.at(-0.25 * float(gates.t2.min()) * (1.0 - 1e-15))
 
 
 def minimize_samples(weights, times, g: float) -> np.ndarray:
@@ -238,36 +360,35 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
         raise ValueError(f"gate budget {g} is not a finite number")
     if g < 1.0:
         raise FeasibilityError("gate budget below one rotation per circuit")
-    gates = _Gates(w, t, clamp=True)
-    lb = np.maximum(1.0, np.abs(t))
-    s_min = -0.25 * float(gates.t2.min()) * (1.0 - 1e-15)
-    floor = gates.at(s_min)
-    if g < floor * (1.0 - 1e-12):
-        raise FeasibilityError(f"gate budget {g:.6g} below feasibility floor {floor:.6g}")
-    target, g_cap = g, g * (1.0 + 0.01)
-    for _ in range(8):
-        if floor >= target:
-            s_star = s_min
-        else:
-            hi = max(2.0 * float(gates.t2.max()), 4.0 * target)
-            # tested where brentq will evaluate its upper end, so that is a memo hit
-            for _ in range(200):
-                if gates.at(s_min + math.exp(math.log(hi - s_min))) >= target:
-                    break
-                hi *= 2.0
-            # in y = ln(s - s_min); at the lower end s_min + e^y rounds to s_min
-            s_star = s_min + math.exp(brentq(
-                _gap_in_ln, math.log(-s_min) - 40.0, math.log(hi - s_min),
-                args=(gates, s_min, target), xtol=1e-15, rtol=1e-15, maxiter=200))
-        r = np.maximum(np.round(gates.r_of_s(s_star)), np.ceil(lb - 1e-9)).astype(np.int64)
-        feasible = gates.of_r(r.astype(float)) <= g_cap
-        if feasible or floor >= target:  # past the floor every retry repeats s_min
-            break
-        target *= 0.98
+    with _Gates(w, t, clamp=True) as gates:
+        s_min = -0.25 * float(gates.t2.min()) * (1.0 - 1e-15)
+        floor = gates.at(s_min)
+        if g < floor * (1.0 - 1e-12):
+            raise FeasibilityError(f"gate budget {g:.6g} below feasibility floor {floor:.6g}")
+        target, g_cap = g, g * (1.0 + 0.01)
+        for _ in range(8):
+            if floor >= target:
+                s_star = s_min
+            else:
+                hi = max(2.0 * float(gates.t2.max()), 4.0 * target)
+                # tested where brentq will evaluate its upper end, so that is a memo hit
+                for _ in range(200):
+                    if gates.at(s_min + math.exp(math.log(hi - s_min))) >= target:
+                        break
+                    hi *= 2.0
+                # in y = ln(s - s_min); at the lower end s_min + e^y rounds to s_min
+                s_star = s_min + math.exp(brentq(
+                    _gap_in_ln, math.log(-s_min) - 40.0, math.log(hi - s_min),
+                    args=(gates, s_min, target), xtol=1e-15, rtol=1e-15, maxiter=200))
+            r, gates_r = gates.rounded(s_star)
+            feasible = gates_r <= g_cap
+            if feasible or floor >= target:  # past the floor every retry repeats s_min
+                break
+            target *= 0.98
     if not feasible:
         raise FeasibilityError("rounding could not satisfy the gate budget")
     if r.size <= 256:
-        r = _polish(w, gates.t2, lb, r, g_cap)
+        r = _polish(w, gates.t2, np.maximum(1.0, np.abs(t)), r, g_cap)
     return r
 
 

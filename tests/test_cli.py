@@ -174,6 +174,19 @@ class TestResourceCurve:
         assert run(["resource-curve", "--lambda", "4.0", "--Delta", "1.0",
                     "--eta", "1", "--eps", "0.6"]) == 2
 
+    @pytest.mark.parametrize("opt, frag", [
+        ("--eps=", "--eps needs at least one value, got ''"),
+        ("--eps=,", "--eps needs at least one value, got ','"),
+        ("--ngrid=-3", "n_grid must be >= 0, got -3"),
+    ])
+    def test_edge_inputs_exit_2(self, capsys, opt, frag):
+        argv = {"--eps": "--eps=0.2", "--ngrid": "--ngrid=3"}
+        argv[opt.split("=")[0]] = opt
+        assert run(["resource-curve", "--lambda", "4.0", "--Delta", "1.0", "--eta", "1",
+                    *argv.values()]) == 2
+        out = capsys.readouterr()
+        assert frag in out.err and out.out == ""
+
     def test_filter_degree_over_cap_exit_2(self, capsys):
         # d would be about 1.2e12: 8.7 TiB for the first array of length d
         assert run(["resource-curve", "--lambda", "1511", "--Delta", "1e-9",

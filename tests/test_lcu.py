@@ -233,6 +233,16 @@ class TestDrawnUnitary:
             with pytest.raises(ValueError, match="normalized"):
                 lcu.sample_unitary(list(zip(probs, ops)), 1.0, 2, 4, derive_rng(0))
 
+    def test_term_widths_must_match(self):
+        hhat = [(0.5, rq.SignedPauli.from_word("XZ")), (0.5, rq.SignedPauli.from_word("XZZ"))]
+        # the check remembers the last tuple it accepted: a failed one is checked again
+        for one_width in (False, False, True, False):
+            if one_width:
+                lcu.sample_unitary([(1.0, hhat[0][1])], 1.0, 2, 4, derive_rng(0))
+                continue
+            with pytest.raises(ValueError, match="term 0 has width 2, term 1 has width 3"):
+                lcu.sample_unitary(hhat, 1.0, 2, 4, derive_rng(0))
+
 
 class TestSerialization:
     def test_format(self):

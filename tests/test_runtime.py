@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from randqpe import estimator, runtime
+from randqpe import cli, estimator, runtime
 
 
 def random_instance(rng, n=6, fmax=1.0, tmax=4.0):
@@ -268,7 +271,7 @@ def test_leaf_walk_has_the_bits_of_whole_array_sums(n, clamp):
         wu = w * np.exp(t2 / r)
         sums = (float(wu.sum()), float((wu * r).sum()))
         np.testing.assert_array_equal(gates.r_of_s(s), r)
-        assert gates._walk(lambda lo, hi: r[lo:hi], 0, n) == sums
+        assert gates._walk(lambda lo, hi, rb, ub: r[lo:hi], 0, n) == sums
         assert gates.at(s) == gates.of_r(r) == float(sums[1] / sums[0])
 
 
@@ -300,3 +303,126 @@ def test_memo_shared_only_across_the_same_read_only_arrays(monkeypatch):
     ref = runtime._slot[0]
     del other
     assert ref() is None
+
+
+# sha256 of `resource-curve --lambda 1511 --Delta 0.0016 --eta 1 --eps 0.2
+# --ngrid 10` as the single-threaded leaf walk wrote it
+HEAVY_CURVE_SHA256 = "be6ef7c3c5a98fbf301a6d15980f29ef12f91a04d14de0cc5a1878c3773dc1af"
+
+
+def _started_threads(monkeypatch) -> list:
+    """Names of the threads started from here on, through threading.Thread."""
+    names = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return names
+
+
+class TestTwoThreadWalk:
+    """_Gates runs the leaves of an S on the calling thread and one worker."""
+
+    @staticmethod
+    def instance(n=5 * runtime._LEAF + 3):
+        gen = np.random.default_rng(2)
+        w = gen.uniform(1e-6, 1.0, size=n) * np.exp(gen.uniform(-20.0, 0.0, size=n))
+        t = gen.uniform(0.05, 40.0, size=n) * gen.choice([-1.0, 1.0], size=n)
+        return w, t
+
+    def test_same_bits_for_any_cpu_count(self, monkeypatch):
+        w, t = self.instance()
+        t2 = t * t
+        s_list = (-0.25 * float(t2.min()) * (1.0 - 1e-15), 0.0, 3.0, 1e4)
+        want, orders_differ = [], 0
+        for s in s_list:
+            r = (np.sqrt(4.0 * s / t2 + 1.0) + 1.0) * (0.5 * t2)
+            r = np.where(np.abs(t) < 2.0, np.maximum(r, np.maximum(1.0, np.abs(t))), r)
+            wu = w * np.exp(t2 / r)
+            want.append(float((wu * r).sum() / wu.sum()))
+            for x in (wu, wu * r):
+                leaf_sums = [float(x[lo:hi].sum()) for lo, hi in runtime._leaves(0, x.size)]
+                orders_differ += sum(leaf_sums[1:], leaf_sums[0]) != float(x.sum())
+        # adding the leaf sums left to right would change some of these bits
+        assert orders_differ > 0
+        results, started = [], _started_threads(monkeypatch)
+        for cpus in (1, 8):
+            monkeypatch.setattr(runtime, "_usable_cpus", lambda: cpus)
+            before = len(started)
+            with runtime._Gates(w, t, clamp=True) as gates:
+                assert [gates.at(s) for s in s_list] == want
+            r_total = runtime.minimize_total(w, t)
+            c_gate = runtime.weight_and_gates(w, np.exp(t2 / r_total), r_total)[1]
+            g = math.sqrt(c_gate * runtime.gate_floor(w, t))
+            results.append((r_total, runtime.minimize_samples(w, t, g)))
+            # one worker per public call that evaluates S, and only with two CPUs
+            assert len(started) - before == (0 if cpus == 1 else 4)
+        for one, two in zip(*results):
+            assert one.dtype == two.dtype == np.int64
+            np.testing.assert_array_equal(one, two)
+
+    def test_each_leaf_once_under_frequent_switches(self, monkeypatch):
+        monkeypatch.setattr(runtime, "_usable_cpus", lambda: 2)
+        w, t = self.instance()
+        gen = np.random.default_rng(3)
+        rs = [t * t * gen.uniform(0.5, 4.0, size=t.size) for _ in range(3)]
+        want = [float((w * np.exp(t * t / r) * r).sum() / (w * np.exp(t * t / r)).sum())
+                for r in rs]
+        leaves = sorted(lo for lo, _ in runtime._leaves(0, t.size))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with runtime._Gates(w, t, clamp=False) as gates:
+                for i in range(60):
+                    seen = []
+
+                    def r_leaf(lo, hi, rb, ub, r=rs[i % 3]):
+                        seen.append(lo)
+                        return r[lo:hi]
+                    assert gates.evaluate(r_leaf) == want[i % 3]
+                    assert sorted(seen) == leaves
+                worker = gates.worker
+        finally:
+            sys.setswitchinterval(interval)
+        assert worker is not None and not worker.is_alive()
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_heavy_curve_digest(self, monkeypatch, capsys, cpus):
+        monkeypatch.setattr(runtime, "_usable_cpus", lambda: cpus)
+        assert cli.run(["resource-curve", "--lambda", "1511", "--Delta", "0.0016",
+                        "--eta", "1", "--eps", "0.2", "--ngrid", "10"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == HEAVY_CURVE_SHA256
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(runtime, "_usable_cpus", lambda: 2)
+        w, t = self.instance()
+        caller, worker_ran = threading.get_ident(), threading.Event()
+        fill_r = runtime._Gates._fill_r
+
+        def failing(self, s, lo, hi, out):
+            if threading.get_ident() != caller:
+                worker_ran.set()
+                raise ArithmeticError(f"leaf {lo}:{hi} failed")
+            # the caller's first leaf waits, so the worker takes a leaf
+            assert worker_ran.wait(30), "no leaf ran on a worker"
+            return fill_r(self, s, lo, hi, out)
+
+        monkeypatch.setattr(runtime._Gates, "_fill_r", failing)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="failed"):
+            runtime.gate_floor(w, t)
+        assert threading.active_count() == threads
+
+    def test_one_leaf_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(runtime, "_usable_cpus", lambda: 8)
+        started = _started_threads(monkeypatch)
+        for n, threads in ((runtime._LEAF, 0), (runtime._LEAF + 1, 1)):
+            w, t = self.instance(n)
+            floor = runtime.gate_floor(w, t)
+            assert len(started) == threads
+            runtime.minimize_samples(w, t, 1.5 * floor)
+            assert len(started) == 2 * threads
