@@ -115,11 +115,13 @@ def _cmd_sample_lcu(args) -> int:
 
 
 def _cmd_estimate_cdf(args) -> int:
+    xs = [float(v) for v in args.x.split(",") if v]
+    if not xs:
+        raise ValueError(f"--x needs at least one value, got {args.x!r}")
     h, plan = _build_plan_from_args(args)
     state = prepare_state(args.state, h)
     rng = derive_rng(args.seed)
     samples = estimator.collect_samples(plan, state, rng)
-    xs = [float(v) for v in args.x.split(",") if v]
     lines = [f"# seed = {args.seed}",
              f"# c_sample = {plan.complexities.c_sample}",
              f"# plan_hash = {_plan_hash(plan)}",
@@ -147,14 +149,20 @@ def _cmd_resource_curve(args) -> int:
     eps_list = [float(v) for v in args.eps.split(",") if v]
     if not eps_list:
         raise ValueError(f"--eps needs at least one value, got {args.eps!r}")
-    for eps in eps_list:
+    paths = [None] * len(eps_list)
+    if args.out and len(eps_list) > 1:
+        paths = [Path(f"{args.out}_eps{eps:g}_b{args.b:g}.csv") for eps in eps_list]
+        for k, path in enumerate(paths):
+            if path in paths[:k]:
+                raise ValueError(f"--eps values {eps_list[paths.index(path)]!r} and "
+                                 f"{eps_list[k]!r} would both write {path}")
+    for eps, path in zip(eps_list, paths):
         points = resources.tradeoff_curve(args.lam, args.Delta, args.eta, [eps],
                                           b=args.b, n_grid=args.ngrid)
         comments = [f"lambda = {args.lam!r} Delta = {args.Delta!r} "
                     f"eta = {args.eta!r} eps = {eps!r} b = {args.b!r}"]
         text = "\n".join(resources.curve_csv_lines(points, comments)) + "\n"
-        if args.out and len(eps_list) > 1:
-            path = Path(f"{args.out}_eps{eps:g}_b{args.b:g}.csv")
+        if path is not None:
             path.write_text(text)
         else:
             _write(text, args.out)

@@ -136,7 +136,7 @@ def _assemble(h: Hamiltonian, window, eta: float, eps: float, theta: float, b: f
     else:
         raise ValueError(f"unknown rmode {rmode!r}")
     gamma = 0.01 * (eta / 2.0 - eps)
-    a_u, cg_u = runtime.weight_and_gates(weights, np.exp(times ** 2 / rvec), rvec)
+    a_u, cg_u = runtime._cost(weights, times, rvec)
     M = truncation_order(gamma, a_u, cg_u)
     complexities, mu = runtime._report(weights, times, rvec, eta, eps, theta,
                                        exact_mu=True, M=M, bias=gamma)

@@ -82,7 +82,7 @@ def _curve_for_eps(lam: float, Delta: float, eta: float, eps: float, b: float,
     margin = eta / 2.0 - eps
 
     def point(rvec, g_target, optimal):
-        a, c_gate = runtime.weight_and_gates(weights, np.exp(times ** 2 / rvec), rvec)
+        a, c_gate = runtime._cost(weights, times, rvec)
         cs = (2.0 * a / margin) ** 2
         tof = {w: c_gate * hwp_toffoli_per_gate(w) for w in HWP_DEFAULT_WIDTHS}
         return ResourcePoint(eps=eps, b=b, g_target=g_target, c_gate=c_gate,

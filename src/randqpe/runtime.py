@@ -7,7 +7,9 @@ weight bound u_j = exp(t_j^2 / r_j); results are rounded to integers and
 reported with exact truncated weights on request.  The optimizers evaluate
 the expected gate count S(r) through one evaluator per (weights, times),
 `_Gates`, and hand it to their brentq objectives through args=.  Inside a
-public call, `_Gates` runs its leaves on up to two threads.
+public call, `_Gates` runs its leaves on up to two threads.  The walk that
+rounds the optimal vector also yields A = sum w u and c_gate = S(r), which
+`_cost` hands to the callers that price the vector.
 """
 
 from __future__ import annotations
@@ -83,28 +85,34 @@ def weight_and_gates(weights, mu, r) -> tuple[float, float]:
 _LEAF = 1 << 16
 # entries a shared memo of S by s may hold before a new one replaces it
 _MEMO_CAP = 4096
-# (weakref to weights, weakref to times, clamp, memo) of the last problem
+# (weakref to weights, weakref to times, clamp, memo, ys) of the last problem
 # whose arrays were read-only
 _slot = None
+# .sums = (weakref to r, A, c_gate) of the vector the last optimizer call on
+# this thread returned
+_last = threading.local()
 
 
-def _shared_memo(w, t, clamp: bool) -> dict:
-    """Memo of S by s, shared by every _Gates on the same read-only arrays.
+def _shared_memo(w, t, clamp: bool) -> tuple[dict, dict]:
+    """Memo of S by s, and of the y = ln(s - s_min) that produced each s
+    where one did, shared by every _Gates on the same read-only arrays.
 
     A curve's gate_floor and minimize_samples calls then evaluate the floor
-    and the usual first upper bracket once.  The slot holds weak references
-    and floats only, and arrays that may change get a memo of their own.
+    and the usual first upper bracket once, and each brentq of the sweep
+    starts from the tightest bracket the memo holds.  The slot holds weak
+    references and floats only, and arrays that may change get a memo of
+    their own.
     """
     global _slot
     if any(a.flags.writeable or not a.flags.owndata for a in (w, t)):
-        return {}
+        return {}, {}
     if _slot is not None:
-        ref_w, ref_t, slot_clamp, memo = _slot
+        ref_w, ref_t, slot_clamp, memo, ys = _slot
         if ref_w() is w and ref_t() is t and slot_clamp == clamp and len(memo) < _MEMO_CAP:
-            return memo
-    memo = {}
-    _slot = (weakref.ref(w), weakref.ref(t), clamp, memo)
-    return memo
+            return memo, ys
+    memo, ys = {}, {}
+    _slot = (weakref.ref(w), weakref.ref(t), clamp, memo, ys)
+    return memo, ys
 
 
 def _usable_cpus() -> int:
@@ -150,9 +158,10 @@ class _Gates:
     (left) + (right).  A leaf runs the whole-array operations in the same
     order on _LEAF-entry buffers.  So S has the bits of
     (w u r).sum() / (w u).sum() over whole arrays, with no whole-array
-    temporary; a test pins this against numpy.  r_of_s alone returns a
-    whole array.  S is memoized by s, and the memo is shared across calls
-    on the same read-only arrays (_shared_memo).
+    temporary; a test pins this against numpy.  evaluate keeps the two
+    sums of its last walk, so the walk that rounds a vector also gives its
+    A = sum w u.  S is memoized by s, and the memo is shared across calls on
+    the same read-only arrays (_shared_memo).
 
     Used as a context manager, it computes the leaves of an S on the
     calling thread and, for a problem of more than one leaf, on one worker
@@ -166,10 +175,12 @@ class _Gates:
     def __init__(self, w, t, clamp: bool):
         self.w, self.t, self.t2 = w, t, t * t
         self.half_t2 = 0.5 * self.t2
+        self.clamp = clamp
         self.head = np.flatnonzero(np.abs(t) < 2.0) if clamp else np.empty(0, np.intp)
         self.lb_head = np.maximum(1.0, np.abs(t[self.head]))
         self.bufs = [self._buffers()]
-        self.memo = _shared_memo(w, t, clamp)
+        self.memo, self.ys = _shared_memo(w, t, clamp)
+        self.sums = None
         self.threads = 1
         self.worker = None
 
@@ -216,22 +227,25 @@ class _Gates:
         r[head] = np.maximum(r[head], self.lb_head[k0:k1])
         return r
 
-    def r_of_s(self, s: float) -> np.ndarray:
-        """R(s) as a new whole array."""
-        return self._fill_r(s, 0, self.t2.size, np.empty_like(self.t2))
-
     def at(self, s: float) -> float:
         """S(R(s)), memoized by s."""
         if s not in self.memo:
             self.memo[s] = self.evaluate(lambda lo, hi, rb, ub: self._fill_r(s, lo, hi, rb))
         return self.memo[s]
 
+    def at_ln(self, y: float, s_min: float) -> float:
+        """S(R(s)) at s = s_min + e^y, keeping y as the coordinate of s."""
+        s = s_min + math.exp(y)
+        self.ys.setdefault(s, y)
+        return self.at(s)
+
     def of_r(self, r) -> float:
         """S(r) for a whole runtime vector r."""
         return self.evaluate(lambda lo, hi, rb, ub: r[lo:hi])
 
-    def rounded(self, s: float) -> tuple[np.ndarray, float]:
-        """r = max(round(R(s)), ceil(max(1, |t|) - 1e-9)) as int64, and S(r).
+    def rounded(self, s: float) -> tuple[np.ndarray, float, float]:
+        """r = max(round(R(s)), lb) as int64, A = sum w u and S(r), where lb
+        is ceil(max(1, |t|) - 1e-9) if clamped, else 1.
 
         Each leaf writes its entries of r, then S reads them as int64, which
         casts them as r.astype(float) would.
@@ -240,18 +254,22 @@ class _Gates:
 
         def r_leaf(lo, hi, rb, ub):
             rr = np.round(self._fill_r(s, lo, hi, rb), out=rb)
-            lb = np.maximum(1.0, np.abs(self.t[lo:hi], out=ub), out=ub)
-            lb -= 1e-9
-            np.ceil(lb, out=lb)
+            if self.clamp:
+                lb = np.maximum(1.0, np.abs(self.t[lo:hi], out=ub), out=ub)
+                lb -= 1e-9
+                np.ceil(lb, out=lb)
+            else:
+                lb = 1.0
             np.copyto(r[lo:hi], np.maximum(rr, lb, out=rr), casting="unsafe")
             return r[lo:hi]
-        return r, self.evaluate(r_leaf)
+        c_gate = self.evaluate(r_leaf)
+        return r, self.sums[0], c_gate
 
     def evaluate(self, r_leaf) -> float:
         """S from r_leaf(lo, hi, rb, ub), the runtime entries lo:hi, which may
         use the leaf buffers rb and ub and may return rb: every S(r) the
-        optimizers use is evaluated here."""
-        a, b = self._walk(r_leaf, 0, self.t2.size)
+        optimizers use is evaluated here.  Keeps (A, A S) in self.sums."""
+        a, b = self.sums = self._walk(r_leaf, 0, self.t2.size)
         return b / a
 
     def _walk(self, r_leaf, lo: int, n: int) -> tuple[float, float]:
@@ -304,18 +322,38 @@ def _gap(s, gates):
 
 
 def _gap_in_ln(y, gates, s_min, target):
-    return gates.at(s_min + math.exp(y)) - target
+    return gates.at_ln(y, s_min) - target
+
+
+def _optimum(r: np.ndarray, a: float, c_gate: float) -> np.ndarray:
+    """r, after keeping its A and c_gate for _cost."""
+    _last.sums = (weakref.ref(r), a, c_gate)
+    return r
+
+
+def _cost(weights, times, r) -> tuple[float, float]:
+    """(A, c_gate) of r under the bound u_j = exp(t_j^2 / r_j).
+
+    If r is the array the last minimize_total or minimize_samples call on
+    this thread returned for these weights and times, unchanged since, these
+    are the sums of the walk that rounded it; otherwise weight_and_gates
+    computes them over whole arrays.  Both ways give the same bits.
+    """
+    last = getattr(_last, "sums", None)
+    if last is not None and last[0]() is r:
+        return last[1], last[2]
+    return weight_and_gates(weights, np.exp(times ** 2 / r), r)
 
 
 def minimize_total(weights, times) -> np.ndarray:
     """Minimize 2 * c_sample * c_gate via the one-dimensional fixed point.
 
     Stationarity gives r_j = (t_j^2/2)(1 + sqrt(1 + 4 s / t_j^2)) where the
-    scalar s solves s = S(R(s)); s is bracketed in (0, 2 t_max^2].
+    scalar s solves s = S(R(s)); s is bracketed in (0, 2 t_max^2].  r is
+    rounded leaf by leaf to max(round(R(s)), 1).
     """
     with _Gates(*_validate(weights, times), clamp=False) as gates:
-        r_real = gates.r_of_s(_fixed_point(gates))
-    return np.maximum(np.round(r_real), 1.0).astype(np.int64)
+        return _optimum(*gates.rounded(_fixed_point(gates)))
 
 
 def fixed_point_residual(weights, times, s: float) -> float:
@@ -362,7 +400,8 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
         raise FeasibilityError("gate budget below one rotation per circuit")
     with _Gates(w, t, clamp=True) as gates:
         s_min = -0.25 * float(gates.t2.min()) * (1.0 - 1e-15)
-        floor = gates.at(s_min)
+        # in y = ln(s - s_min): at this y, s_min + e^y rounds to s_min
+        floor = gates.at_ln(math.log(-s_min) - 40.0, s_min)
         if g < floor * (1.0 - 1e-12):
             raise FeasibilityError(f"gate budget {g:.6g} below feasibility floor {floor:.6g}")
         target, g_cap = g, g * (1.0 + 0.01)
@@ -371,17 +410,16 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
                 s_star = s_min
             else:
                 hi = max(2.0 * float(gates.t2.max()), 4.0 * target)
-                # tested where brentq will evaluate its upper end, so that is a memo hit
                 for _ in range(200):
-                    if gates.at(s_min + math.exp(math.log(hi - s_min))) >= target:
+                    y_hi = math.log(hi - s_min)
+                    if gates.at_ln(y_hi, s_min) >= target:
                         break
                     hi *= 2.0
-                # in y = ln(s - s_min); at the lower end s_min + e^y rounds to s_min
                 s_star = s_min + math.exp(brentq(
-                    _gap_in_ln, math.log(-s_min) - 40.0, math.log(hi - s_min),
+                    _gap_in_ln, *_bracket(gates, target, y_hi),
                     args=(gates, s_min, target), xtol=1e-15, rtol=1e-15, maxiter=200))
-            r, gates_r = gates.rounded(s_star)
-            feasible = gates_r <= g_cap
+            r, a, c_gate = gates.rounded(s_star)
+            feasible = c_gate <= g_cap
             if feasible or floor >= target:  # past the floor every retry repeats s_min
                 break
             target *= 0.98
@@ -389,7 +427,17 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
         raise FeasibilityError("rounding could not satisfy the gate budget")
     if r.size <= 256:
         r = _polish(w, gates.t2, np.maximum(1.0, np.abs(t)), r, g_cap)
-    return r
+        a, c_gate = weight_and_gates(w, np.exp(gates.t2 / r), r)
+    return _optimum(r, a, c_gate)
+
+
+def _bracket(gates, target: float, y_hi: float) -> tuple[float, float]:
+    """y of the largest memo point with S < target and of the smallest with
+    S >= target (y_hi if none has), each the y that produced that point, so
+    both of brentq's ends are memo hits.  The floor's point is below."""
+    below = [s for s in gates.ys if gates.memo[s] < target]
+    above = [s for s in gates.ys if gates.memo[s] >= target]
+    return gates.ys[max(below)], gates.ys[min(above)] if above else y_hi
 
 
 def _polish(w, t2, lb, r, g_cap):

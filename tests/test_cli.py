@@ -111,6 +111,17 @@ class TestEstimateCdf:
         # ACDF near 0 below the jump, near 1 above
         assert lo < 0.3 and hi > 0.7
 
+    @pytest.mark.parametrize("opt", ["--x=", "--x=,"])
+    def test_empty_threshold_list_exit_2(self, ham_z, capsys, monkeypatch, opt):
+        def no_sampling(*args):
+            raise AssertionError("collect_samples ran for an empty threshold list")
+
+        monkeypatch.setattr(estimator, "collect_samples", no_sampling)
+        assert run(["estimate-cdf", "--ham", ham_z, "--state", "basis:0", "--Delta", "0.2",
+                    "--eta", "1", "--eps", "0.2", "--theta", "0.05", opt, "--seed", "4"]) == 2
+        out = capsys.readouterr()
+        assert f"--x needs at least one value, got {opt[4:]!r}" in out.err and out.out == ""
+
 
 class TestGroundEnergy:
     def test_z_estimate(self, ham_z, tmp_path):
@@ -186,6 +197,24 @@ class TestResourceCurve:
                     *argv.values()]) == 2
         out = capsys.readouterr()
         assert frag in out.err and out.out == ""
+
+    def test_out_one_file_per_eps(self, tmp_path):
+        out = tmp_path / "curve"
+        assert run(["resource-curve", "--lambda", "4.0", "--Delta", "1.0", "--eta", "1",
+                    "--eps", "0.1,0.2", "--ngrid", "3", "--out", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curve_eps0.1_b1.csv", "curve_eps0.2_b1.csv"]
+
+    @pytest.mark.parametrize("first, second", [("0.1", "0.1000001"), ("0.2", "0.2")])
+    def test_out_name_collision_exit_2(self, tmp_path, capsys, first, second):
+        # both eps values format as the same {eps:g}: the second curve would
+        # replace the first
+        out = tmp_path / "curve"
+        assert run(["resource-curve", "--lambda", "4.0", "--Delta", "1.0", "--eta", "1",
+                    "--eps", f"{first},{second}", "--ngrid", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--eps values {first} and {second} would both write" in err
+        assert "curve_eps" in err and list(tmp_path.iterdir()) == []
 
     def test_filter_degree_over_cap_exit_2(self, capsys):
         # d would be about 1.2e12: 8.7 TiB for the first array of length d

@@ -211,8 +211,9 @@ def test_heavy_sweep_evaluation_count_and_oracle(monkeypatch):
     assert feasible >= 8
     # bracketing in s took 223 evaluations here, ln(s - s_min) 160; memoizing
     # S by s makes brentq's two endpoints hits (138), and sharing the memo on
-    # the read-only window arrays makes the floor and the first hi hits
-    assert 0 < len(calls) <= 119
+    # the read-only window arrays makes the floor and the first hi hits (119);
+    # starting each brentq from the tightest bracket in the memo makes 80
+    assert 0 < len(calls) <= 80
 
 
 class TestComplexityReport:
@@ -270,7 +271,7 @@ def test_leaf_walk_has_the_bits_of_whole_array_sums(n, clamp):
             r = np.where(np.abs(t) < 2.0, np.maximum(r, np.maximum(1.0, np.abs(t))), r)
         wu = w * np.exp(t2 / r)
         sums = (float(wu.sum()), float((wu * r).sum()))
-        np.testing.assert_array_equal(gates.r_of_s(s), r)
+        np.testing.assert_array_equal(gates._fill_r(s, 0, n, np.empty(n)), r)
         assert gates._walk(lambda lo, hi, rb, ub: r[lo:hi], 0, n) == sums
         assert gates.at(s) == gates.of_r(r) == float(sums[1] / sums[0])
 
@@ -303,6 +304,30 @@ def test_memo_shared_only_across_the_same_read_only_arrays(monkeypatch):
     ref = runtime._slot[0]
     del other
     assert ref() is None
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+@pytest.mark.parametrize("heavy", [False, True])
+def test_walk_sums_have_the_bits_of_weight_and_gates(monkeypatch, cpus, heavy):
+    # heavy: the heavy-molecule window, d = 749,049 over 16 leaves; else 40
+    # indices, which minimize_samples polishes after rounding
+    monkeypatch.setattr(runtime, "_usable_cpus", lambda: cpus)
+    if heavy:
+        *_, t, w = estimator._window(1511.0, 0.0016, 1.0, 0.2)
+    else:
+        w, t = random_instance(np.random.default_rng(9), n=40)
+    sums = []
+    for solve in (lambda: runtime.minimize_total(w, t),
+                  lambda: runtime.minimize_samples(
+                      w, t, math.sqrt(sums[0][1] * runtime.gate_floor(w, t)))):
+        r = solve()
+        # the sums kept for r are those of the walk that rounded it
+        assert runtime._last.sums[0]() is r
+        want = runtime.weight_and_gates(w, np.exp(t ** 2 / r), r)
+        sums.append(runtime._cost(w, t, r))
+        assert sums[-1] == want
+        # a copy is not the vector the walk rounded: whole-array sums, same bits
+        assert runtime._cost(w, t, r.copy()) == want
 
 
 # sha256 of `resource-curve --lambda 1511 --Delta 0.0016 --eta 1 --eps 0.2
