@@ -119,6 +119,8 @@ def _cmd_estimate_cdf(args) -> int:
     if not xs:
         raise ValueError(f"--x needs at least one value, got {args.x!r}")
     h, plan = _build_plan_from_args(args)
+    for x in xs:  # before sampling, which a threshold outside the window would waste
+        estimator._check_x(plan, x)
     state = prepare_state(args.state, h)
     rng = derive_rng(args.seed)
     samples = estimator.collect_samples(plan, state, rng)

@@ -5,8 +5,10 @@ All operations work on parallel arrays over the sampled Fourier indices
 `times` holds t_j.  The relaxed real-valued problem uses the analytic
 weight bound u_j = exp(t_j^2 / r_j); results are rounded to integers and
 reported with exact truncated weights on request.  The optimizers evaluate
-the expected gate count S(r) through one evaluator per (weights, times),
-`_Gates`, and hand it to their brentq objectives through args=.  Inside a
+the expected gate count S(r) through one evaluator per call, `_Gates`,
+and hand it to their brentq objectives through args=.  What does not depend
+on s (validation, t^2, the clamp heads, the memo of S by s) is one
+`_Problem` per (weights, times), built once for read-only arrays.  Inside a
 public call, `_Gates` runs its leaves on up to two threads.  The walk that
 rounds the optimal vector also yields A = sum w u and c_gate = S(r), which
 `_cost` hands to the callers that price the vector.
@@ -85,34 +87,73 @@ def weight_and_gates(weights, mu, r) -> tuple[float, float]:
 _LEAF = 1 << 16
 # entries a shared memo of S by s may hold before a new one replaces it
 _MEMO_CAP = 4096
-# (weakref to weights, weakref to times, clamp, memo, ys) of the last problem
-# whose arrays were read-only
+# (weakref to weights, weakref to times, _Problem) of the last problem whose
+# arrays were read-only; cleared when either array dies
 _slot = None
 # .sums = (weakref to r, A, c_gate) of the vector the last optimizer call on
 # this thread returned
 _last = threading.local()
 
 
-def _shared_memo(w, t, clamp: bool) -> tuple[dict, dict]:
-    """Memo of S by s, and of the y = ln(s - s_min) that produced each s
-    where one did, shared by every _Gates on the same read-only arrays.
+class _Problem:
+    """The s-independent part of one (weights, times) problem.
 
-    A curve's gate_floor and minimize_samples calls then evaluate the floor
-    and the usual first upper bracket once, and each brentq of the sweep
-    starts from the tightest bracket the memo holds.  The slot holds weak
-    references and floats only, and arrays that may change get a memo of
-    their own.
+    Built once the arrays have passed _validate: t^2 and t^2/2, the clamp
+    heads (the entries with |t| < 2) with their lower bounds max(1, |t|),
+    the extremes of t^2, and per clamp a memo of S by s with, where one
+    produced it, the y = ln(s - s_min) of each s.  It holds no reference to
+    weights or times, so keeping it keeps neither alive.
+    """
+
+    def __init__(self, t):
+        self.t2 = t * t
+        self.half_t2 = 0.5 * self.t2
+        self.t2_min, self.t2_max = float(self.t2.min()), float(self.t2.max())
+        self.head = np.flatnonzero(np.abs(t) < 2.0)
+        self.lb_head = np.maximum(1.0, np.abs(t[self.head]))
+        self.memos = {}
+
+    def memo(self, clamp: bool) -> tuple[dict, dict]:
+        """(memo, ys) for one clamp; a full memo is replaced by an empty one."""
+        memo = self.memos.get(clamp)
+        if memo is None or len(memo[0]) >= _MEMO_CAP:
+            memo = self.memos[clamp] = ({}, {})
+        return memo
+
+
+def _problem(weights, times):
+    """(w, t, _Problem) of validated weights and times.
+
+    Read-only arrays that own their data share one _Problem across calls:
+    a curve's minimize_total, gate_floor and minimize_samples calls then
+    validate and derive t^2 once, evaluate the floor and the usual first
+    upper bracket once, and start each brentq of the sweep from the
+    tightest bracket the memo holds.  Arrays that may change get a problem
+    of their own.
     """
     global _slot
-    if any(a.flags.writeable or not a.flags.owndata for a in (w, t)):
-        return {}, {}
-    if _slot is not None:
-        ref_w, ref_t, slot_clamp, memo, ys = _slot
-        if ref_w() is w and ref_t() is t and slot_clamp == clamp and len(memo) < _MEMO_CAP:
-            return memo, ys
-    memo, ys = {}, {}
-    _slot = (weakref.ref(w), weakref.ref(t), clamp, memo, ys)
-    return memo, ys
+    slot = _slot
+    if slot is not None and slot[0]() is weights and slot[1]() is times:
+        if not (weights.flags.writeable or times.flags.writeable):
+            return weights, times, slot[2]
+        _slot = None  # writeable again, so they may have changed
+    w, t = _validate(weights, times)
+    prob = _Problem(t)
+    if not any(a.flags.writeable or not a.flags.owndata for a in (w, t)):
+        _slot = (weakref.ref(w, _drop), weakref.ref(t, _drop), prob)
+    return w, t, prob
+
+
+def _drop(ref):
+    """Clears the slot when its weights or times die."""
+    global _slot
+    slot = _slot
+    if slot is not None and (slot[0] is ref or slot[1] is ref):
+        _slot = None
+
+
+# head and lb_head of an unclamped problem
+_NO_HEAD = (np.empty(0, np.intp), np.empty(0))
 
 
 def _usable_cpus() -> int:
@@ -160,8 +201,9 @@ class _Gates:
     (w u r).sum() / (w u).sum() over whole arrays, with no whole-array
     temporary; a test pins this against numpy.  evaluate keeps the two
     sums of its last walk, so the walk that rounds a vector also gives its
-    A = sum w u.  S is memoized by s, and the memo is shared across calls on
-    the same read-only arrays (_shared_memo).
+    A = sum w u.  The arrays that do not depend on s (t^2, t^2/2, the clamp
+    heads) and the memo of S by s come from a _Problem, which calls on the
+    same read-only arrays share (_problem).
 
     Used as a context manager, it computes the leaves of an S on the
     calling thread and, for a problem of more than one leaf, on one worker
@@ -172,14 +214,14 @@ class _Gates:
     the calling thread allocates: one pair of leaf buffers per thread.
     """
 
-    def __init__(self, w, t, clamp: bool):
-        self.w, self.t, self.t2 = w, t, t * t
-        self.half_t2 = 0.5 * self.t2
+    def __init__(self, weights, times, clamp: bool):
+        self.w, self.t, prob = _problem(weights, times)
+        self.t2, self.half_t2 = prob.t2, prob.half_t2
+        self.t2_min, self.t2_max = prob.t2_min, prob.t2_max
         self.clamp = clamp
-        self.head = np.flatnonzero(np.abs(t) < 2.0) if clamp else np.empty(0, np.intp)
-        self.lb_head = np.maximum(1.0, np.abs(t[self.head]))
+        self.head, self.lb_head = (prob.head, prob.lb_head) if clamp else _NO_HEAD
         self.bufs = [self._buffers()]
-        self.memo, self.ys = _shared_memo(w, t, clamp)
+        self.memo, self.ys = prob.memo(clamp)
         self.sums = None
         self.threads = 1
         self.worker = None
@@ -352,25 +394,25 @@ def minimize_total(weights, times) -> np.ndarray:
     scalar s solves s = S(R(s)); s is bracketed in (0, 2 t_max^2].  r is
     rounded leaf by leaf to max(round(R(s)), 1).
     """
-    with _Gates(*_validate(weights, times), clamp=False) as gates:
+    with _Gates(weights, times, clamp=False) as gates:
         return _optimum(*gates.rounded(_fixed_point(gates)))
 
 
 def fixed_point_residual(weights, times, s: float) -> float:
     """|s - S(R(s))| / s, for tests of the fixed-point solve."""
-    with _Gates(*_validate(weights, times), clamp=False) as gates:
+    with _Gates(weights, times, clamp=False) as gates:
         return abs(_gap(s, gates)) / abs(s)
 
 
 def solve_fixed_point(weights, times) -> float:
     """The scalar s* behind minimize_total (pre-rounding)."""
-    with _Gates(*_validate(weights, times), clamp=False) as gates:
+    with _Gates(weights, times, clamp=False) as gates:
         return _fixed_point(gates)
 
 
 def _fixed_point(gates) -> float:
-    tmax2 = float(gates.t2.max())
-    lo = 0.5 * min(float(gates.t2.min()), tmax2 * 1e-12)
+    tmax2 = gates.t2_max
+    lo = 0.5 * min(gates.t2_min, tmax2 * 1e-12)
     hi = 2.0 * tmax2 * (1.0 + 1e-9)
     if _gap(hi, gates) > 0.0:
         return hi
@@ -379,8 +421,8 @@ def _fixed_point(gates) -> float:
 
 def gate_floor(weights, times) -> float:
     """Smallest expected gate count reachable by the constrained family."""
-    with _Gates(*_validate(weights, times), clamp=True) as gates:
-        return gates.at(-0.25 * float(gates.t2.min()) * (1.0 - 1e-15))
+    with _Gates(weights, times, clamp=True) as gates:
+        return gates.at(-0.25 * gates.t2_min * (1.0 - 1e-15))
 
 
 def minimize_samples(weights, times, g: float) -> np.ndarray:
@@ -393,13 +435,12 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
     truncation bounds stay applicable, and rounded with a relative slack of
     1% on g, retrying at 2% lower targets; a failed retry at s_min is final.
     """
-    w, t = _validate(weights, times)
-    if math.isnan(g) or g == math.inf:
-        raise ValueError(f"gate budget {g} is not a finite number")
-    if g < 1.0:
-        raise FeasibilityError("gate budget below one rotation per circuit")
-    with _Gates(w, t, clamp=True) as gates:
-        s_min = -0.25 * float(gates.t2.min()) * (1.0 - 1e-15)
+    with _Gates(weights, times, clamp=True) as gates:
+        if math.isnan(g) or g == math.inf:
+            raise ValueError(f"gate budget {g} is not a finite number")
+        if g < 1.0:
+            raise FeasibilityError("gate budget below one rotation per circuit")
+        s_min = -0.25 * gates.t2_min * (1.0 - 1e-15)
         # in y = ln(s - s_min): at this y, s_min + e^y rounds to s_min
         floor = gates.at_ln(math.log(-s_min) - 40.0, s_min)
         if g < floor * (1.0 - 1e-12):
@@ -409,7 +450,7 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
             if floor >= target:
                 s_star = s_min
             else:
-                hi = max(2.0 * float(gates.t2.max()), 4.0 * target)
+                hi = max(2.0 * gates.t2_max, 4.0 * target)
                 for _ in range(200):
                     y_hi = math.log(hi - s_min)
                     if gates.at_ln(y_hi, s_min) >= target:
@@ -426,8 +467,9 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
     if not feasible:
         raise FeasibilityError("rounding could not satisfy the gate budget")
     if r.size <= 256:
-        r = _polish(w, gates.t2, np.maximum(1.0, np.abs(t)), r, g_cap)
-        a, c_gate = weight_and_gates(w, np.exp(gates.t2 / r), r)
+        w, t2 = gates.w, gates.t2
+        r = _polish(w, t2, np.maximum(1.0, np.abs(gates.t)), r, g_cap)
+        a, c_gate = weight_and_gates(w, np.exp(t2 / r), r)
     return _optimum(r, a, c_gate)
 
 

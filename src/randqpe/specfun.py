@@ -12,7 +12,7 @@ import numpy as np
 from scipy import special as _sp
 
 # scipy's Amos-based ive is reliable well past 1e8 but returns NaN for
-# beta around 2e9 and above; beyond the cutoff a seeded recurrence is used.
+# beta around 2e9 and above; beyond the cutoff Olver's uniform expansion is used
 _IVE_DIRECT_MAX = 1.0e8
 
 _INV_E = math.exp(-1.0)
@@ -20,6 +20,9 @@ _INV_E = math.exp(-1.0)
 
 def bessel_i_scaled(n, beta: float):
     """Scaled modified Bessel function of the first kind, e^-beta * I_n(beta).
+
+    scipy's ive up to beta = _IVE_DIRECT_MAX; above it, the closed form of
+    bessel_i_scaled_sequence at the requested orders only.
 
     Args:
         n: order (non-negative integer, scalar or array).
@@ -33,22 +36,24 @@ def bessel_i_scaled(n, beta: float):
     n_arr = np.asarray(n)
     if np.any(n_arr < 0):
         raise ValueError("order must be non-negative")
-    if beta <= _IVE_DIRECT_MAX:
-        out = _sp.ive(n_arr, beta)
-        return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
-    seq = bessel_i_scaled_sequence(int(n_arr.max()), beta)
-    out = seq[n_arr]
+    out = _sp.ive(n_arr, beta) if beta <= _IVE_DIRECT_MAX else _ive_uniform(n_arr, beta)
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
 
 
 def bessel_i_scaled_sequence(nmax: int, beta: float) -> np.ndarray:
     """All orders 0..nmax of e^-beta * I_n(beta) as one array.
 
-    For beta above the scipy cutoff, orders 0 and 1 are seeded with the
-    large-argument asymptotic series and the rest filled by the upward
-    recurrence i_{n+1} = i_{n-1} - (2n/beta) i_n.  Absolute error stays
-    below 1e-11 of the peak i_0 up to n = 4 sqrt(beta) (checked against scipy
-    for beta <= 1e9); relative error there, at ~3e-4 of the peak, is ~2e-8.
+    For beta above the scipy cutoff every order comes from Olver's uniform
+    expansion (DLMF 10.41.3) with two correction terms.  With
+    rho = sqrt(n^2 + beta^2) and p = n / rho,
+
+        e^-beta I_n(beta) = exp(n^2/(rho + beta) - n asinh(n/beta)) / sqrt(2 pi rho)
+                            * (1 + (3 - 5p^2)/(24 rho) + (81 - 462p^2 + 385p^4)/(1152 rho^2)),
+
+    whose truncation error is O(rho^-3), below 1e-24 for beta > 1e8.
+    Against quadrature in mpmath the relative error is below 1e-13 at every
+    order up to 8 sqrt(beta), where the values are ~1e-14 of the peak
+    (tests/test_specfun.py, beta = 1.0001e8, 1.5e8 and 1.6e11).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -56,31 +61,29 @@ def bessel_i_scaled_sequence(nmax: int, beta: float) -> np.ndarray:
         raise ValueError("nmax must be non-negative")
     if beta <= _IVE_DIRECT_MAX:
         return _sp.ive(np.arange(nmax + 1), beta)
-    # Python floats appended to a list and copied once: indexing into the
-    # array per order cost about as much as the recurrence itself
-    vals = [_ive_asymptotic(0, beta), _ive_asymptotic(1, beta)][:nmax + 1]
-    prev, cur = vals[0], vals[-1]
-    inv = 2.0 / beta
-    for n in range(1, nmax):
-        prev, cur = cur, prev - inv * n * cur
-        if cur <= 1e-306:
-            break
-        vals.append(cur)
-    out = np.zeros(nmax + 1)
-    out[:len(vals)] = vals
-    return out
+    return _ive_uniform(np.arange(nmax + 1), beta)
 
 
-def _ive_asymptotic(order: int, beta: float) -> float:
-    # Hankel expansion of e^-z I_n(z); converges fast since beta >> order^2
-    mu = 4.0 * order * order
-    term = tot = 1.0
-    for k in range(1, 30):
-        term *= -(mu - (2 * k - 1) ** 2) / (k * 8.0 * beta)
-        tot += term
-        if abs(term) < 1e-18:
-            break
-    return tot / math.sqrt(2.0 * math.pi * beta)
+def _ive_uniform(n, beta: float) -> np.ndarray:
+    # in x = n/beta and q = rho/beta = hypot(x, 1), so that no intermediate
+    # overflows at orders below 1e300: n^2/(rho + beta) = n x/(q + 1); far
+    # orders underflow to 0
+    nu = np.array(n, dtype=float, ndmin=1)
+    x = nu / beta
+    q = np.hypot(x, 1.0)
+    p2 = x / q
+    p2 *= p2
+    inv = 1.0 / (beta * q)
+    corr = 1.0 + inv * ((3.0 - 5.0 * p2) / 24.0
+                        + inv * (81.0 - 462.0 * p2 + 385.0 * p2 * p2) / 1152.0)
+    q += 1.0
+    expo = np.divide(x, q, out=q)
+    expo -= np.arcsinh(x, out=x)
+    expo *= nu
+    out = np.exp(expo, out=expo)
+    out *= corr
+    out *= np.sqrt(inv / (2.0 * math.pi), out=inv)
+    return out.reshape(np.shape(n))
 
 
 def lambert_w0(x: float) -> float:

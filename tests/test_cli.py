@@ -122,6 +122,23 @@ class TestEstimateCdf:
         out = capsys.readouterr()
         assert f"--x needs at least one value, got {opt[4:]!r}" in out.err and out.out == ""
 
+    @pytest.mark.parametrize("opt, bad", [("--x=0.1,nan,5", "nan"), ("--x=0.1,-5", "-5.0")])
+    def test_threshold_outside_window_exit_2_before_sampling(self, ham_z, capsys,
+                                                              monkeypatch, opt, bad):
+        calls = []
+        collect = estimator.collect_samples
+
+        def counting(*args):
+            calls.append(1)
+            return collect(*args)
+
+        monkeypatch.setattr(estimator, "collect_samples", counting)
+        assert run(["estimate-cdf", "--ham", ham_z, "--state", "basis:0", "--Delta", "0.2",
+                    "--eta", "1", "--eps", "0.2", "--theta", "0.05", opt, "--seed", "4"]) == 2
+        out = capsys.readouterr()
+        assert f"threshold x={bad} outside certified window +-1.428" in out.err
+        assert out.out == "" and calls == []
+
 
 class TestGroundEnergy:
     def test_z_estimate(self, ham_z, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from randqpe import cli, estimator, runtime
+from randqpe import cli, estimator, resources, runtime
 
 
 def random_instance(rng, n=6, fmax=1.0, tmax=4.0):
@@ -304,6 +305,63 @@ def test_memo_shared_only_across_the_same_read_only_arrays(monkeypatch):
     ref = runtime._slot[0]
     del other
     assert ref() is None
+
+
+def _count_problems(monkeypatch) -> list:
+    """Sizes of the _Problem objects built from here on: one t^2 each."""
+    built = []
+
+    class Counted(runtime._Problem):
+        def __init__(self, t):
+            built.append(t.size)
+            super().__init__(t)
+
+    monkeypatch.setattr(runtime, "_Problem", Counted)
+    return built
+
+
+def test_curve_builds_one_problem_per_eps(monkeypatch):
+    built = _count_problems(monkeypatch)
+    points = resources.tradeoff_curve(1511.0, 0.16, 1.0, [0.1, 0.2], n_grid=6)
+    # minimize_total, gate_floor and six minimize_samples calls per eps
+    assert len(points) == 14
+    d = [estimator._window(1511.0, 0.16, 1.0, eps)[2].d for eps in (0.1, 0.2)]
+    assert built == [d[0] + 1, d[1] + 1]
+
+
+def test_writeable_arrays_never_share_a_problem(monkeypatch):
+    built = _count_problems(monkeypatch)
+    w, t = random_instance(np.random.default_rng(6), n=40)
+    floor = runtime.gate_floor(w, t)
+    runtime.minimize_samples(w, t, 2.0 * floor)
+    assert len(built) == 2 and runtime._slot is None
+    # a read-only view does not own its data, which may change through its base
+    view_w, view_t = w[:], t[:]
+    view_w.flags.writeable = view_t.flags.writeable = False
+    runtime.gate_floor(view_w, view_t)
+    assert len(built) == 3 and runtime._slot is None
+    w.flags.writeable = t.flags.writeable = False
+    runtime.gate_floor(w, t)
+    runtime.gate_floor(w, t)
+    assert len(built) == 4 and runtime._slot[0]() is w
+    # an array made writeable again loses its problem and shares none
+    w.flags.writeable = True
+    assert runtime.gate_floor(w, t) == floor
+    assert len(built) == 5 and runtime._slot is None
+
+
+def test_slot_empty_once_the_arrays_die():
+    *_, times, weights = estimator._window(1511.0, 0.16, 1.0, 0.2)
+    floor = runtime.gate_floor(weights, times)
+    runtime.minimize_samples(weights, times, 1.5 * floor)
+    assert runtime._slot[0]() is weights and runtime._slot[1]() is times
+    gc.collect()
+    gc.disable()
+    try:
+        del weights, times
+        assert runtime._slot is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("cpus", [1, 8])

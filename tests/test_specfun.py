@@ -56,28 +56,36 @@ class TestBessel:
             ref = float(mpmath.besseli(n, beta, derivative=0) * mpmath.exp(-beta))
             assert seq[n] == pytest.approx(ref, rel=1e-8)
 
-    def test_recurrence_bit_equal_to_array_loop(self):
-        def array_loop(nmax, beta):
-            # reference: the same recurrence writing each order into the array
-            out = np.empty(nmax + 1)
-            out[0] = specfun._ive_asymptotic(0, beta)
-            if nmax == 0:
-                return out
-            out[1] = specfun._ive_asymptotic(1, beta)
-            prev, cur = out[0], out[1]
-            inv = 2.0 / beta
-            for n in range(1, nmax):
-                prev, cur = cur, prev - inv * n * cur
-                if cur <= 1e-306:
-                    out[n + 1:] = 0.0
-                    return out
-                out[n + 1] = cur
-            return out
+    @pytest.mark.parametrize("beta, extra", [
+        (1.0001e8, (79_766,)),
+        # the upward recurrence that served here before returned 0 from order
+        # 70,985 on, where the value is 1.65e-12, about 5e-8 of the peak
+        (1.5e8, (70_985, 71_000, 80_000)),
+        (1.6e11, (749_048,)),  # the heavy-molecule filter's last order
+    ], ids=["1.0001e8", "1.5e8", "1.6e11"])
+    def test_uniform_expansion_matches_quadrature(self, beta, extra):
+        mpmath = pytest.importorskip("mpmath")
 
-        for nmax, beta in ((0, 2e8), (1, 2e8), (2, 2e8), (40_000, 1.6e11), (200_000, 1.5e8)):
-            ref = array_loop(nmax, beta)
-            assert np.array_equal(specfun.bessel_i_scaled_sequence(nmax, beta), ref)
-        assert ref[-1] == 0.0 and ref[0] > 0.0  # the last case stops on underflow
+        def quadrature(n):
+            # (1/pi) int_0^pi e^{beta (cos th - 1)} cos(n th) dth, with
+            # cos th - 1 = -2 sin^2(th/2), split every 1/sqrt(beta); past
+            # 24/sqrt(beta) the integrand is below e^-287
+            with mpmath.workdps(40):
+                b = mpmath.mpf(beta)
+                h = 1 / mpmath.sqrt(b)
+
+                def f(th):
+                    return mpmath.exp(-2 * b * mpmath.sin(th / 2) ** 2) * mpmath.cos(n * th)
+                return float(mpmath.quad(f, [k * h for k in range(25)]) / mpmath.pi)
+
+        orders = [round(f * math.sqrt(beta)) for f in np.linspace(0.0, 8.0, 9)]
+        orders += [1, 2, *extra]
+        want = np.array([quadrature(n) for n in orders])
+        assert np.all(want > 0)
+        got = specfun.bessel_i_scaled(np.array(orders), beta)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        seq = specfun.bessel_i_scaled_sequence(max(extra), beta)
+        np.testing.assert_allclose(seq[list(extra)], want[-len(extra):], rtol=1e-13, atol=0)
 
     def test_kasperkovitz_bound(self, rng):
         for beta in (1.0, 4.0, 30.0, 1000.0):
