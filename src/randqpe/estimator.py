@@ -77,9 +77,6 @@ def _window(lam: float, Delta: float, b: float, eps: float, delta_scale: float =
     series = build_fourier(optimize_split(delta, eps))
     js = 2 * np.arange(series.d + 1, dtype=np.int64) + 1
     times, weights = -js * tau * lam, 2.0 * series.odd_abs
-    # read-only, so the runtime solves may share their S(r) memo across calls
-    for arr in (js, times, weights):
-        arr.flags.writeable = False
     return tau, delta, series, js, times, weights
 
 
@@ -125,18 +122,19 @@ def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float, theta: floa
 def _assemble(h: Hamiltonian, window, eta: float, eps: float, theta: float, b: float,
               rmode: str, g: float | None) -> Plan:
     tau, delta, series, js, times, weights = window
+    problem = runtime.Problem(weights, times)
     if rmode == "constant":
         rvec = runtime.constant_weight(times)
     elif rmode == "total":
-        rvec = runtime.minimize_total(weights, times)
+        rvec = runtime.minimize_total(weights, times, problem=problem)
     elif rmode == "gated":
         if g is None:
             raise ValueError("rmode 'gated' needs a gate budget g")
-        rvec = runtime.minimize_samples(weights, times, g)
+        rvec = runtime.minimize_samples(weights, times, g, problem=problem)
     else:
         raise ValueError(f"unknown rmode {rmode!r}")
     gamma = 0.01 * (eta / 2.0 - eps)
-    a_u, cg_u = runtime._cost(weights, times, rvec)
+    a_u, cg_u = problem.cost(rvec)
     M = truncation_order(gamma, a_u, cg_u)
     complexities, mu = runtime._report(weights, times, rvec, eta, eps, theta,
                                        exact_mu=True, M=M, bias=gamma)

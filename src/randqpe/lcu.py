@@ -268,7 +268,8 @@ def segment_distribution(t: float, r: int, M: int) -> SegmentDistribution:
     if M < 0 or M % 2 != 0:
         raise ValueError("M must be even and non-negative")
     x = t / r
-    orders, w = _segment_terms(x, M)
+    with np.errstate(over="ignore"):  # an overflow shows as mu == inf below
+        orders, w = _segment_terms(x, M)
     w = w[0]
     mu = float(w.sum())
     if mu == math.inf:

@@ -79,10 +79,11 @@ def ground_search_multiplier(xi: float, tau_lambda: float, delta: float) -> floa
 def _curve_for_eps(lam: float, Delta: float, eta: float, eps: float, b: float,
                    g_grid, n_grid: int):
     *_, times, weights = _window(lam, Delta, b, eps)
+    problem = runtime.Problem(weights, times)  # one memo of S for the sweep
     margin = eta / 2.0 - eps
 
     def point(rvec, g_target, optimal):
-        a, c_gate = runtime._cost(weights, times, rvec)
+        a, c_gate = problem.cost(rvec)
         cs = (2.0 * a / margin) ** 2
         tof = {w: c_gate * hwp_toffoli_per_gate(w) for w in HWP_DEFAULT_WIDTHS}
         return ResourcePoint(eps=eps, b=b, g_target=g_target, c_gate=c_gate,
@@ -90,15 +91,15 @@ def _curve_for_eps(lam: float, Delta: float, eta: float, eps: float, b: float,
                              flag_optimal=optimal,
                              toffoli_per_sample_estimates=tof)
 
-    r_opt = runtime.minimize_total(weights, times)
+    r_opt = runtime.minimize_total(weights, times, problem=problem)
     opt = point(r_opt, g_target=float("nan"), optimal=True)
     points = [opt]
     if g_grid is None:
-        floor = runtime.gate_floor(weights, times)
+        floor = runtime.gate_floor(weights, times, problem=problem)
         g_grid = np.geomspace(1.05 * opt.c_gate, floor * (1.0 + 1e-6), n_grid)
     for g in g_grid:
         try:
-            rv = runtime.minimize_samples(weights, times, float(g))
+            rv = runtime.minimize_samples(weights, times, float(g), problem=problem)
         except runtime.FeasibilityError as exc:
             points.append(ResourcePoint(eps=eps, b=b, g_target=float(g),
                                         c_gate=float("nan"),

@@ -7,11 +7,13 @@ weight bound u_j = exp(t_j^2 / r_j); results are rounded to integers and
 reported with exact truncated weights on request.  The optimizers evaluate
 the expected gate count S(r) through one evaluator per call, `_Gates`,
 and hand it to their brentq objectives through args=.  What does not depend
-on s (validation, t^2, the clamp heads, the memo of S by s) is one
-`_Problem` per (weights, times), built once for read-only arrays.  Inside a
-public call, `_Gates` runs its leaves on up to two threads.  The walk that
-rounds the optimal vector also yields A = sum w u and c_gate = S(r), which
-`_cost` hands to the callers that price the vector.
+on s (validation, t^2, the clamp heads, the memo of S by s) is a `Problem`.
+A public solve without problem= builds its own and shares nothing with
+other calls; a trade-off curve holds one Problem for its sweep and passes
+it to every solve.  Inside a public call, `_Gates` runs its leaves on up to
+two threads.  The walk that rounds the optimal vector also yields
+A = sum w u and c_gate = S(r), which `Problem.cost` hands to the callers
+that price the vector.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -49,6 +50,9 @@ def _validate(weights, times):
     t = np.asarray(times, dtype=float)
     if w.shape != t.shape or w.ndim != 1 or w.size == 0:
         raise ValueError("weights and times must be equal-length 1-d arrays")
+    for name, a in (("weights", w), ("times", t)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite (no NaN or inf)")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
     if np.any(t == 0):
@@ -85,33 +89,34 @@ def weight_and_gates(weights, mu, r) -> tuple[float, float]:
 # _LEAF entries of that tree, so its buffers stay cache-sized; smaller leaves
 # cost more in hand-offs of the GIL between the two threads than they save
 _LEAF = 1 << 16
-# entries a shared memo of S by s may hold before a new one replaces it
+# entries a memo of S by s may hold before a new one replaces it
 _MEMO_CAP = 4096
-# (weakref to weights, weakref to times, _Problem) of the last problem whose
-# arrays were read-only; cleared when either array dies
-_slot = None
-# .sums = (weakref to r, A, c_gate) of the vector the last optimizer call on
-# this thread returned
-_last = threading.local()
 
 
-class _Problem:
-    """The s-independent part of one (weights, times) problem.
+class Problem:
+    """The s-independent part of the solves on one (weights, times).
 
-    Built once the arrays have passed _validate: t^2 and t^2/2, the clamp
-    heads (the entries with |t| < 2) with their lower bounds max(1, |t|),
-    the extremes of t^2, and per clamp a memo of S by s with, where one
-    produced it, the y = ln(s - s_min) of each s.  It holds no reference to
-    weights or times, so keeping it keeps neither alive.
+    Holds the validated arrays, t^2 and t^2/2, the clamp heads (the entries
+    with |t| < 2) with their lower bounds max(1, |t|), the extremes of t^2,
+    per clamp a memo of S by s with, where one produced it, the
+    y = ln(s - s_min) of each s, and the (r, A, c_gate) of the last vector
+    one of its solves rounded.  Solves passed the same problem= share it: a
+    curve validates and derives t^2 once, evaluates the floor and the usual
+    first upper bracket once, and starts each brentq of its sweep from the
+    tightest bracket the memo holds.  The arrays must not change while the
+    problem is in use.
     """
 
-    def __init__(self, t):
-        self.t2 = t * t
+    def __init__(self, weights, times):
+        self.args = weights, times
+        self.w, self.t = _validate(weights, times)
+        self.t2 = self.t * self.t
         self.half_t2 = 0.5 * self.t2
         self.t2_min, self.t2_max = float(self.t2.min()), float(self.t2.max())
-        self.head = np.flatnonzero(np.abs(t) < 2.0)
-        self.lb_head = np.maximum(1.0, np.abs(t[self.head]))
+        self.head = np.flatnonzero(np.abs(self.t) < 2.0)
+        self.lb_head = np.maximum(1.0, np.abs(self.t[self.head]))
         self.memos = {}
+        self.last = None
 
     def memo(self, clamp: bool) -> tuple[dict, dict]:
         """(memo, ys) for one clamp; a full memo is replaced by an empty one."""
@@ -120,36 +125,26 @@ class _Problem:
             memo = self.memos[clamp] = ({}, {})
         return memo
 
+    def cost(self, r) -> tuple[float, float]:
+        """(A, c_gate) of r under the bound u_j = exp(t_j^2 / r_j).
 
-def _problem(weights, times):
-    """(w, t, _Problem) of validated weights and times.
-
-    Read-only arrays that own their data share one _Problem across calls:
-    a curve's minimize_total, gate_floor and minimize_samples calls then
-    validate and derive t^2 once, evaluate the floor and the usual first
-    upper bracket once, and start each brentq of the sweep from the
-    tightest bracket the memo holds.  Arrays that may change get a problem
-    of their own.
-    """
-    global _slot
-    slot = _slot
-    if slot is not None and slot[0]() is weights and slot[1]() is times:
-        if not (weights.flags.writeable or times.flags.writeable):
-            return weights, times, slot[2]
-        _slot = None  # writeable again, so they may have changed
-    w, t = _validate(weights, times)
-    prob = _Problem(t)
-    if not any(a.flags.writeable or not a.flags.owndata for a in (w, t)):
-        _slot = (weakref.ref(w, _drop), weakref.ref(t, _drop), prob)
-    return w, t, prob
+        If r is the vector a solve on this problem rounded last, unchanged
+        since, these are the sums of the walk that rounded it; otherwise
+        weight_and_gates computes them over whole arrays.  Both ways give
+        the same bits.
+        """
+        if self.last is not None and self.last[0] is r:
+            return self.last[1:]
+        return weight_and_gates(self.w, np.exp(self.t2 / r), r)
 
 
-def _drop(ref):
-    """Clears the slot when its weights or times die."""
-    global _slot
-    slot = _slot
-    if slot is not None and (slot[0] is ref or slot[1] is ref):
-        _slot = None
+def _problem(weights, times, problem: Problem | None) -> Problem:
+    """problem, if built from these very arrays, or a new one if None."""
+    if problem is None:
+        return Problem(weights, times)
+    if problem.args[0] is not weights or problem.args[1] is not times:
+        raise ValueError("problem= was built from other weights and times")
+    return problem
 
 
 # head and lb_head of an unclamped problem
@@ -202,8 +197,7 @@ class _Gates:
     temporary; a test pins this against numpy.  evaluate keeps the two
     sums of its last walk, so the walk that rounds a vector also gives its
     A = sum w u.  The arrays that do not depend on s (t^2, t^2/2, the clamp
-    heads) and the memo of S by s come from a _Problem, which calls on the
-    same read-only arrays share (_problem).
+    heads) and the memo of S by s come from its Problem.
 
     Used as a context manager, it computes the leaves of an S on the
     calling thread and, for a problem of more than one leaf, on one worker
@@ -214,8 +208,8 @@ class _Gates:
     the calling thread allocates: one pair of leaf buffers per thread.
     """
 
-    def __init__(self, weights, times, clamp: bool):
-        self.w, self.t, prob = _problem(weights, times)
+    def __init__(self, prob: Problem, clamp: bool):
+        self.prob, self.w, self.t = prob, prob.w, prob.t
         self.t2, self.half_t2 = prob.t2, prob.half_t2
         self.t2_min, self.t2_max = prob.t2_min, prob.t2_max
         self.clamp = clamp
@@ -281,13 +275,10 @@ class _Gates:
         self.ys.setdefault(s, y)
         return self.at(s)
 
-    def of_r(self, r) -> float:
-        """S(r) for a whole runtime vector r."""
-        return self.evaluate(lambda lo, hi, rb, ub: r[lo:hi])
-
-    def rounded(self, s: float) -> tuple[np.ndarray, float, float]:
-        """r = max(round(R(s)), lb) as int64, A = sum w u and S(r), where lb
-        is ceil(max(1, |t|) - 1e-9) if clamped, else 1.
+    def rounded(self, s: float) -> tuple[np.ndarray, float]:
+        """r = max(round(R(s)), lb) as int64 and S(r), where lb is
+        ceil(max(1, |t|) - 1e-9) if clamped, else 1; (r, A, S(r)) becomes
+        the problem's last.
 
         Each leaf writes its entries of r, then S reads them as int64, which
         casts them as r.astype(float) would.
@@ -305,7 +296,8 @@ class _Gates:
             np.copyto(r[lo:hi], np.maximum(rr, lb, out=rr), casting="unsafe")
             return r[lo:hi]
         c_gate = self.evaluate(r_leaf)
-        return r, self.sums[0], c_gate
+        self.prob.last = r, self.sums[0], c_gate
+        return r, c_gate
 
     def evaluate(self, r_leaf) -> float:
         """S from r_leaf(lo, hi, rb, ub), the runtime entries lo:hi, which may
@@ -367,46 +359,27 @@ def _gap_in_ln(y, gates, s_min, target):
     return gates.at_ln(y, s_min) - target
 
 
-def _optimum(r: np.ndarray, a: float, c_gate: float) -> np.ndarray:
-    """r, after keeping its A and c_gate for _cost."""
-    _last.sums = (weakref.ref(r), a, c_gate)
-    return r
-
-
-def _cost(weights, times, r) -> tuple[float, float]:
-    """(A, c_gate) of r under the bound u_j = exp(t_j^2 / r_j).
-
-    If r is the array the last minimize_total or minimize_samples call on
-    this thread returned for these weights and times, unchanged since, these
-    are the sums of the walk that rounded it; otherwise weight_and_gates
-    computes them over whole arrays.  Both ways give the same bits.
-    """
-    last = getattr(_last, "sums", None)
-    if last is not None and last[0]() is r:
-        return last[1], last[2]
-    return weight_and_gates(weights, np.exp(times ** 2 / r), r)
-
-
-def minimize_total(weights, times) -> np.ndarray:
+def minimize_total(weights, times, *, problem: Problem | None = None) -> np.ndarray:
     """Minimize 2 * c_sample * c_gate via the one-dimensional fixed point.
 
     Stationarity gives r_j = (t_j^2/2)(1 + sqrt(1 + 4 s / t_j^2)) where the
     scalar s solves s = S(R(s)); s is bracketed in (0, 2 t_max^2].  r is
-    rounded leaf by leaf to max(round(R(s)), 1).
+    rounded leaf by leaf to max(round(R(s)), 1).  problem=, a Problem of
+    these weights and times, shares its memo with the other solves given it.
     """
-    with _Gates(weights, times, clamp=False) as gates:
-        return _optimum(*gates.rounded(_fixed_point(gates)))
+    with _Gates(_problem(weights, times, problem), clamp=False) as gates:
+        return gates.rounded(_fixed_point(gates))[0]
 
 
 def fixed_point_residual(weights, times, s: float) -> float:
     """|s - S(R(s))| / s, for tests of the fixed-point solve."""
-    with _Gates(weights, times, clamp=False) as gates:
+    with _Gates(Problem(weights, times), clamp=False) as gates:
         return abs(_gap(s, gates)) / abs(s)
 
 
 def solve_fixed_point(weights, times) -> float:
     """The scalar s* behind minimize_total (pre-rounding)."""
-    with _Gates(weights, times, clamp=False) as gates:
+    with _Gates(Problem(weights, times), clamp=False) as gates:
         return _fixed_point(gates)
 
 
@@ -419,13 +392,14 @@ def _fixed_point(gates) -> float:
     return brentq(_gap, lo, hi, args=(gates,), rtol=1e-14, maxiter=200)
 
 
-def gate_floor(weights, times) -> float:
+def gate_floor(weights, times, *, problem: Problem | None = None) -> float:
     """Smallest expected gate count reachable by the constrained family."""
-    with _Gates(weights, times, clamp=True) as gates:
+    with _Gates(_problem(weights, times, problem), clamp=True) as gates:
         return gates.at(-0.25 * gates.t2_min * (1.0 - 1e-15))
 
 
-def minimize_samples(weights, times, g: float) -> np.ndarray:
+def minimize_samples(weights, times, g: float, *,
+                     problem: Problem | None = None) -> np.ndarray:
     """Minimize the sample count subject to expected gate count S(r) = g.
 
     The Lagrange condition yields the same one-parameter family as the
@@ -434,8 +408,9 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
     which S is close to linear.  Entries are clamped to max(1, |t_j|) so
     truncation bounds stay applicable, and rounded with a relative slack of
     1% on g, retrying at 2% lower targets; a failed retry at s_min is final.
+    problem= as for minimize_total.
     """
-    with _Gates(weights, times, clamp=True) as gates:
+    with _Gates(_problem(weights, times, problem), clamp=True) as gates:
         if math.isnan(g) or g == math.inf:
             raise ValueError(f"gate budget {g} is not a finite number")
         if g < 1.0:
@@ -459,7 +434,7 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
                 s_star = s_min + math.exp(brentq(
                     _gap_in_ln, *_bracket(gates, target, y_hi),
                     args=(gates, s_min, target), xtol=1e-15, rtol=1e-15, maxiter=200))
-            r, a, c_gate = gates.rounded(s_star)
+            r, c_gate = gates.rounded(s_star)
             feasible = c_gate <= g_cap
             if feasible or floor >= target:  # past the floor every retry repeats s_min
                 break
@@ -467,10 +442,8 @@ def minimize_samples(weights, times, g: float) -> np.ndarray:
     if not feasible:
         raise FeasibilityError("rounding could not satisfy the gate budget")
     if r.size <= 256:
-        w, t2 = gates.w, gates.t2
-        r = _polish(w, t2, np.maximum(1.0, np.abs(gates.t)), r, g_cap)
-        a, c_gate = weight_and_gates(w, np.exp(t2 / r), r)
-    return _optimum(r, a, c_gate)
+        r = _polish(gates.w, gates.t2, np.maximum(1.0, np.abs(gates.t)), r, g_cap)
+    return r
 
 
 def _bracket(gates, target: float, y_hi: float) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.linalg import expm
 
 import randqpe as rq
 from conftest import random_hamiltonian
-from randqpe import backend, lcu
+from randqpe import backend, cli, lcu
 from randqpe._rng import derive_rng
 
 
@@ -52,6 +53,17 @@ class TestSegmentDistribution:
                 lcu.segment_distribution(t, 1, 4)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
             lcu.segment_distribution(1e300, 1, 8)
+
+    def test_overflow_exits_2_with_no_numpy_warning(self, tmp_path, capsys):
+        ham = tmp_path / "h.txt"
+        ham.write_text("0.6 XZ\n-0.4 ZI\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["sample-lcu", f"--ham={ham}", "--t", "1e200", "--r", "1",
+                            "--M", "4", "--seed", "1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: segment weight at t/r = 1e+200 overflows\n")
 
 
 class TestTruncationOrder:

@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import itertools
 import math
@@ -188,7 +187,8 @@ def test_heavy_sweep_evaluation_count_and_oracle(monkeypatch):
     *_, times, weights = estimator._window(1511.0, 0.16, 1.0, 0.2)
     r_opt = runtime.minimize_total(weights, times)
     c_gate_opt = runtime.weight_and_gates(weights, np.exp(times ** 2 / r_opt), r_opt)[1]
-    floor = runtime.gate_floor(weights, times)
+    problem = runtime.Problem(weights, times)
+    floor = runtime.gate_floor(weights, times, problem=problem)
     calls = []
     orig = runtime._Gates.evaluate
 
@@ -202,17 +202,17 @@ def test_heavy_sweep_evaluation_count_and_oracle(monkeypatch):
         expect = _bracket_in_s(weights, times, float(g))
         if expect is None:
             with pytest.raises(runtime.FeasibilityError):
-                runtime.minimize_samples(weights, times, float(g))
+                runtime.minimize_samples(weights, times, float(g), problem=problem)
             continue
-        r = runtime.minimize_samples(weights, times, float(g))
+        r = runtime.minimize_samples(weights, times, float(g), problem=problem)
         got = runtime.weight_and_gates(weights, np.exp(times ** 2 / r), r)
         want = runtime.weight_and_gates(weights, np.exp(times ** 2 / expect), expect)
         np.testing.assert_allclose(got, want, rtol=1e-9)
         feasible += 1
     assert feasible >= 8
     # bracketing in s took 223 evaluations here, ln(s - s_min) 160; memoizing
-    # S by s makes brentq's two endpoints hits (138), and sharing the memo on
-    # the read-only window arrays makes the floor and the first hi hits (119);
+    # S by s makes brentq's two endpoints hits (138), and sharing the memo
+    # through one Problem makes the floor and the first hi hits (119);
     # starting each brentq from the tightest bracket in the memo makes 80
     assert 0 < len(calls) <= 80
 
@@ -265,7 +265,7 @@ def test_leaf_walk_has_the_bits_of_whole_array_sums(n, clamp):
     w = gen.uniform(1e-6, 1.0, size=n)
     t = gen.uniform(0.05, 40.0, size=n) * gen.choice([-1.0, 1.0], size=n)
     t2 = t * t
-    gates = runtime._Gates(w, t, clamp)
+    gates = runtime._Gates(runtime.Problem(w, t), clamp)
     for s in (-0.25 * float(t2.min()) * (1.0 - 1e-15), 0.0, 3.0, 1e4):
         r = (np.sqrt(4.0 * s / t2 + 1.0) + 1.0) * (0.5 * t2)
         if clamp:
@@ -274,10 +274,11 @@ def test_leaf_walk_has_the_bits_of_whole_array_sums(n, clamp):
         sums = (float(wu.sum()), float((wu * r).sum()))
         np.testing.assert_array_equal(gates._fill_r(s, 0, n, np.empty(n)), r)
         assert gates._walk(lambda lo, hi, rb, ub: r[lo:hi], 0, n) == sums
-        assert gates.at(s) == gates.of_r(r) == float(sums[1] / sums[0])
+        assert gates.at(s) == float(sums[1] / sums[0])
 
 
-def test_memo_shared_only_across_the_same_read_only_arrays(monkeypatch):
+def _count_evaluations(monkeypatch) -> list:
+    """One entry per S(r) evaluated from here on."""
     calls = []
     orig = runtime._Gates.evaluate
 
@@ -286,42 +287,69 @@ def test_memo_shared_only_across_the_same_read_only_arrays(monkeypatch):
         return orig(self, r_leaf)
 
     monkeypatch.setattr(runtime._Gates, "evaluate", counting)
+    return calls
+
+
+def test_passed_problem_shares_its_memo_and_calls_without_share_none(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
     w, t = random_instance(np.random.default_rng(5), n=40)
-    runtime.gate_floor(w, t)
-    runtime.gate_floor(w, t)
-    assert len(calls) == 2  # writable arrays may change between calls
-    w.flags.writeable = t.flags.writeable = False
+    w.flags.writeable = t.flags.writeable = False  # read-only makes no difference
     floor = runtime.gate_floor(w, t)
-    assert runtime.gate_floor(w, t) == floor and len(calls) == 3
+    assert runtime.gate_floor(w, t) == floor and len(calls) == 2
     runtime.minimize_samples(w, t, 2.0 * floor)
-    ours = len(calls)
+    alone = len(calls) - 2
     runtime.minimize_samples(w, t, 2.0 * floor)
-    # every s of the repeated solve is a hit; the rounded vector's S is not by s
-    assert len(calls) == ours + 1
-    other = w.copy()
-    other.flags.writeable = False
-    assert runtime.gate_floor(other, t) == floor and len(calls) == ours + 2
-    # the memo holds weak references: it keeps no array alive
-    ref = runtime._slot[0]
-    del other
-    assert ref() is None
+    assert len(calls) == 2 + 2 * alone
+    problem = runtime.Problem(w, t)
+    assert runtime.gate_floor(w, t, problem=problem) == floor
+    assert runtime.gate_floor(w, t, problem=problem) == floor
+    before = len(calls)
+    assert before == 2 + 2 * alone + 1
+    # the floor is a hit; so, on a repeat, is every s but the rounded vector's
+    runtime.minimize_samples(w, t, 2.0 * floor, problem=problem)
+    assert len(calls) == before + alone - 1
+    runtime.minimize_samples(w, t, 2.0 * floor, problem=problem)
+    assert len(calls) == before + alone
 
 
-def _count_problems(monkeypatch) -> list:
-    """Sizes of the _Problem objects built from here on: one t^2 each."""
-    built = []
+def test_problem_of_other_arrays_raises():
+    w, t = random_instance(np.random.default_rng(7), n=8)
+    problem = runtime.Problem(w, t)
+    assert runtime.gate_floor(w, t, problem=problem) == runtime.gate_floor(w, t)
+    # equal values are not enough: the problem holds what it derived from its arrays
+    for args in ((w.copy(), t), (w, t.copy()), (list(w), list(t))):
+        for solve in (runtime.minimize_total, runtime.gate_floor,
+                      lambda w, t, problem: runtime.minimize_samples(w, t, 9.0,
+                                                                     problem=problem)):
+            with pytest.raises(ValueError, match="other weights and times"):
+                solve(*args, problem=problem)
 
-    class Counted(runtime._Problem):
-        def __init__(self, t):
-            built.append(t.size)
-            super().__init__(t)
 
-    monkeypatch.setattr(runtime, "_Problem", Counted)
-    return built
+@pytest.mark.parametrize("call", [
+    runtime.Problem, runtime.minimize_total, runtime.gate_floor,
+    lambda w, t: runtime.minimize_samples(w, t, 9.0),
+    lambda w, t: runtime.complexity_report(w, t, np.full(w.size, 5), eta=1.0, eps=0.2,
+                                           theta=0.1, exact_mu=True, M=8),
+], ids=["Problem", "minimize_total", "gate_floor", "minimize_samples",
+        "complexity_report"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["weights", "times"])
+def test_non_finite_input_raises_naming_the_array(call, value, name):
+    w, t = random_instance(np.random.default_rng(8))
+    (w if name == "weights" else t)[2] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(w, t)
 
 
 def test_curve_builds_one_problem_per_eps(monkeypatch):
-    built = _count_problems(monkeypatch)
+    built = []
+
+    class Counted(runtime.Problem):
+        def __init__(self, weights, times):
+            built.append(len(times))
+            super().__init__(weights, times)
+
+    monkeypatch.setattr(runtime, "Problem", Counted)
     points = resources.tradeoff_curve(1511.0, 0.16, 1.0, [0.1, 0.2], n_grid=6)
     # minimize_total, gate_floor and six minimize_samples calls per eps
     assert len(points) == 14
@@ -329,39 +357,39 @@ def test_curve_builds_one_problem_per_eps(monkeypatch):
     assert built == [d[0] + 1, d[1] + 1]
 
 
-def test_writeable_arrays_never_share_a_problem(monkeypatch):
-    built = _count_problems(monkeypatch)
+def test_gate_floor_sees_a_change_in_place_between_calls():
     w, t = random_instance(np.random.default_rng(6), n=40)
-    floor = runtime.gate_floor(w, t)
-    runtime.minimize_samples(w, t, 2.0 * floor)
-    assert len(built) == 2 and runtime._slot is None
-    # a read-only view does not own its data, which may change through its base
-    view_w, view_t = w[:], t[:]
-    view_w.flags.writeable = view_t.flags.writeable = False
-    runtime.gate_floor(view_w, view_t)
-    assert len(built) == 3 and runtime._slot is None
     w.flags.writeable = t.flags.writeable = False
-    runtime.gate_floor(w, t)
-    runtime.gate_floor(w, t)
-    assert len(built) == 4 and runtime._slot[0]() is w
-    # an array made writeable again loses its problem and shares none
-    w.flags.writeable = True
-    assert runtime.gate_floor(w, t) == floor
-    assert len(built) == 5 and runtime._slot is None
+    before = runtime.gate_floor(w, t)
+    t.flags.writeable = True
+    t *= 3.0
+    t.flags.writeable = False
+    after = runtime.gate_floor(w, t)
+    assert after == runtime.gate_floor(w.copy(), t.copy()) and after != before
 
 
-def test_slot_empty_once_the_arrays_die():
-    *_, times, weights = estimator._window(1511.0, 0.16, 1.0, 0.2)
-    floor = runtime.gate_floor(weights, times)
-    runtime.minimize_samples(weights, times, 1.5 * floor)
-    assert runtime._slot[0]() is weights and runtime._slot[1]() is times
-    gc.collect()
-    gc.disable()
+def _sweep_vector(w, t, g):
     try:
-        del weights, times
-        assert runtime._slot is None
-    finally:
-        gc.enable()
+        return runtime.minimize_samples(w, t, g)
+    except runtime.FeasibilityError:
+        return None
+
+
+def test_sweep_vectors_do_not_depend_on_earlier_solves():
+    # the heavy-molecule window, solved in the order of a curve's sweep; when
+    # solves on read-only arrays shared a memo, two of these budgets (1.8013e11
+    # and 1.6020e11) rounded to vectors 19 and 3 entries away from fresh ones
+    *_, t, w = estimator._window(1511.0, 0.0016, 1.0, 0.2)
+    w.flags.writeable = t.flags.writeable = False
+    r_opt = runtime.minimize_total(w, t)
+    c_gate = runtime.weight_and_gates(w, np.exp(t ** 2 / r_opt), r_opt)[1]
+    floor = runtime.gate_floor(w, t)
+    for g in np.geomspace(1.05 * c_gate, floor * (1 + 1e-6), 10):
+        after_others = _sweep_vector(w, t, float(g))
+        alone = _sweep_vector(w.copy(), t.copy(), float(g))
+        assert (after_others is None) == (alone is None)
+        if alone is not None:
+            np.testing.assert_array_equal(after_others, alone)
 
 
 @pytest.mark.parametrize("cpus", [1, 8])
@@ -374,18 +402,21 @@ def test_walk_sums_have_the_bits_of_weight_and_gates(monkeypatch, cpus, heavy):
         *_, t, w = estimator._window(1511.0, 0.0016, 1.0, 0.2)
     else:
         w, t = random_instance(np.random.default_rng(9), n=40)
+    problem = runtime.Problem(w, t)
     sums = []
-    for solve in (lambda: runtime.minimize_total(w, t),
+    for solve in (lambda: runtime.minimize_total(w, t, problem=problem),
                   lambda: runtime.minimize_samples(
-                      w, t, math.sqrt(sums[0][1] * runtime.gate_floor(w, t)))):
+                      w, t, math.sqrt(sums[0][1] * runtime.gate_floor(w, t, problem=problem)),
+                      problem=problem)):
         r = solve()
-        # the sums kept for r are those of the walk that rounded it
-        assert runtime._last.sums[0]() is r
+        # the problem kept the sums of the walk that rounded r, unless polishing
+        # replaced r after that walk
+        assert (problem.last[0] is r) == (heavy or not sums)
         want = runtime.weight_and_gates(w, np.exp(t ** 2 / r), r)
-        sums.append(runtime._cost(w, t, r))
+        sums.append(problem.cost(r))
         assert sums[-1] == want
         # a copy is not the vector the walk rounded: whole-array sums, same bits
-        assert runtime._cost(w, t, r.copy()) == want
+        assert problem.cost(r.copy()) == want
 
 
 # sha256 of `resource-curve --lambda 1511 --Delta 0.0016 --eta 1 --eps 0.2
@@ -435,7 +466,7 @@ class TestTwoThreadWalk:
         for cpus in (1, 8):
             monkeypatch.setattr(runtime, "_usable_cpus", lambda: cpus)
             before = len(started)
-            with runtime._Gates(w, t, clamp=True) as gates:
+            with runtime._Gates(runtime.Problem(w, t), clamp=True) as gates:
                 assert [gates.at(s) for s in s_list] == want
             r_total = runtime.minimize_total(w, t)
             c_gate = runtime.weight_and_gates(w, np.exp(t2 / r_total), r_total)[1]
@@ -458,7 +489,7 @@ class TestTwoThreadWalk:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with runtime._Gates(w, t, clamp=False) as gates:
+            with runtime._Gates(runtime.Problem(w, t), clamp=False) as gates:
                 for i in range(60):
                     seen = []
 
