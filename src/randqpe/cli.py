@@ -140,8 +140,9 @@ def _cmd_ground_energy(args) -> int:
     state = prepare_state(args.state, h)
     rng = derive_rng(args.seed)
     res = estimator.ground_energy(h, state, args.Delta, args.eta, args.xi, rng, b=args.b,
-                                  rmode=args.rmode, g=args.g, eps=args.eps, seed=args.seed)
+                                  rmode=args.rmode, g=args.g, eps=args.eps)
     out = res.to_json_dict()
+    out["seed"] = args.seed
     out["plan_hash"] = _plan_hash(res.plan)
     _write(json.dumps(out, indent=2) + "\n", args.out)
     return 0

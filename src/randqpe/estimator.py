@@ -122,6 +122,8 @@ def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float, theta: floa
 def _assemble(h: Hamiltonian, window, eta: float, eps: float, theta: float, b: float,
               rmode: str, g: float | None) -> Plan:
     tau, delta, series, js, times, weights = window
+    if g is not None and rmode != "gated":
+        raise ValueError(f"a gate budget g applies to rmode 'gated' only, not {rmode!r}")
     problem = runtime.Problem(weights, times)
     if rmode == "constant":
         rvec = runtime.constant_weight(times)
@@ -347,7 +349,6 @@ class GroundEnergyResult:
     c_sample: int
     c_gate_expected: float
     plan: Plan = field(compare=False, repr=False)
-    seed: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -358,7 +359,6 @@ class GroundEnergyResult:
             "theta": self.theta,
             "c_sample": self.c_sample,
             "c_gate_expected": self.c_gate_expected,
-            "seed": self.seed,
         }
 
 
@@ -370,7 +370,7 @@ def plan_queries(tau: float, lam: float, delta: float) -> int:
 def ground_energy(h: Hamiltonian, state: StateVector, Delta: float, eta: float,
                   xi: float, rng: np.random.Generator, b: float = 1.0,
                   rmode: str = "total", g: float | None = None,
-                  eps: float | None = None, seed: int | None = None) -> GroundEnergyResult:
+                  eps: float | None = None) -> GroundEnergyResult:
     """Estimate the lowest eigenvalue to within Delta with probability 1 - xi.
 
     Requires the promise tr[rho P_ground] >= eta (not detected if violated).
@@ -415,5 +415,4 @@ def ground_energy(h: Hamiltonian, state: StateVector, Delta: float, eta: float,
         c_sample=plan.complexities.c_sample,
         c_gate_expected=plan.complexities.c_gate,
         plan=plan,
-        seed=seed,
     )

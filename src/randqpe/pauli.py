@@ -22,13 +22,6 @@ import scipy.sparse
 
 DENSE_QUBIT_CAP = 12
 
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # quarter-turn phase table: P1 * P2 = i^k * P3, indexed by letter
 _PHASE_POWER = {
     ("X", "Y"): 1, ("Y", "X"): 3,

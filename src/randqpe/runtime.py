@@ -7,21 +7,23 @@ weight bound u_j = exp(t_j^2 / r_j); results are rounded to integers and
 reported with exact truncated weights on request.  The optimizers evaluate
 the expected gate count S(r) through one evaluator per call, `_Gates`,
 and hand it to their brentq objectives through args=.  What does not depend
-on s (validation, t^2, the clamp heads, the memo of S by s) is a `Problem`.
-A public solve without problem= builds its own and shares nothing with
-other calls; a trade-off curve holds one Problem for its sweep and passes
-it to every solve.  Inside a public call, `_Gates` runs its leaves on up to
-two threads.  The walk that rounds the optimal vector also yields
-A = sum w u and c_gate = S(r), which `Problem.cost` hands to the callers
-that price the vector.
+on s (validation, t^2, the leaf plan, the clamp heads, the memo of S by s)
+is a `Problem`, which `_Gates` reads in place.  A public solve without
+problem= builds its own and shares nothing with other calls; a trade-off
+curve holds one Problem for its sweep and passes it to every solve.  Inside
+a public call, `_Gates` runs the leaves of each S on the calling thread
+and, for a problem of more than one leaf, on the one thread of an executor
+that lives as long as the call.  The walk that rounds the optimal vector
+also yields A = sum w u and c_gate = S(r), which `Problem.cost` hands to
+the callers that price the vector.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,15 +98,15 @@ _MEMO_CAP = 4096
 class Problem:
     """The s-independent part of the solves on one (weights, times).
 
-    Holds the validated arrays, t^2 and t^2/2, the clamp heads (the entries
-    with |t| < 2) with their lower bounds max(1, |t|), the extremes of t^2,
-    per clamp a memo of S by s with, where one produced it, the
-    y = ln(s - s_min) of each s, and the (r, A, c_gate) of the last vector
-    one of its solves rounded.  Solves passed the same problem= share it: a
-    curve validates and derives t^2 once, evaluates the floor and the usual
-    first upper bracket once, and starts each brentq of its sweep from the
-    tightest bracket the memo holds.  The arrays must not change while the
-    problem is in use.
+    Holds the validated arrays, t^2 and t^2/2, the leaf plan of the S(r)
+    walk, the clamp heads (the entries with |t| < 2) with their lower
+    bounds max(1, |t|), the extremes of t^2, per clamp a memo of S by s
+    with, where one produced it, the y = ln(s - s_min) of each s, and the
+    (r, A, c_gate) of the last vector one of its solves rounded.  Solves
+    passed the same problem= share it: a curve validates and derives t^2
+    once, evaluates the floor and the usual first upper bracket once, and
+    starts each brentq of its sweep from the tightest bracket the memo
+    holds.  The arrays must not change while the problem is in use.
     """
 
     def __init__(self, weights, times):
@@ -113,6 +115,7 @@ class Problem:
         self.t2 = self.t * self.t
         self.half_t2 = 0.5 * self.t2
         self.t2_min, self.t2_max = float(self.t2.min()), float(self.t2.max())
+        self.leaves = _leaves(0, self.t.size)
         self.head = np.flatnonzero(np.abs(self.t) < 2.0)
         self.lb_head = np.maximum(1.0, np.abs(self.t[self.head]))
         self.memos = {}
@@ -145,10 +148,6 @@ def _problem(weights, times, problem: Problem | None) -> Problem:
     if problem.args[0] is not weights or problem.args[1] is not times:
         raise ValueError("problem= was built from other weights and times")
     return problem
-
-
-# head and lb_head of an unclamped problem
-_NO_HEAD = (np.empty(0, np.intp), np.empty(0))
 
 
 def _usable_cpus() -> int:
@@ -194,73 +193,54 @@ class _Gates:
     (left) + (right).  A leaf runs the whole-array operations in the same
     order on _LEAF-entry buffers.  So S has the bits of
     (w u r).sum() / (w u).sum() over whole arrays, with no whole-array
-    temporary; a test pins this against numpy.  evaluate keeps the two
-    sums of its last walk, so the walk that rounds a vector also gives its
-    A = sum w u.  The arrays that do not depend on s (t^2, t^2/2, the clamp
-    heads) and the memo of S by s come from its Problem.
+    temporary; a test pins this against numpy.  Everything that does not
+    depend on s (the arrays, the leaf plan, the clamp heads, the memo of S
+    by s) is read from its Problem; a _Gates holds only the clamp, that
+    clamp's memo and its leaf buffers.
 
-    Used as a context manager, it computes the leaves of an S on the
-    calling thread and, for a problem of more than one leaf, on one worker
-    thread started at the first such S and joined on exit, if two CPUs are
-    usable.  Each thread takes the next leaf not yet taken and writes its
-    sums to that leaf's slot; the slots are added in tree order once both
-    are done, so S keeps its bits for any thread count and timing.  Only
-    the calling thread allocates: one pair of leaf buffers per thread.
+    Used as a context manager, for a problem of more than one leaf and two
+    usable CPUs, it makes a one-thread executor on entry and shuts it down
+    on exit.  Each S then runs `_drain` once on that thread beside the
+    calling thread and joins it before it adds the sums.  Each thread takes
+    the next leaf not yet taken and writes its sums to that leaf's slot;
+    the slots are added in tree order, so S keeps its bits for any thread
+    count and timing.  Only the calling thread allocates: one pair of leaf
+    buffers per thread.
     """
 
     def __init__(self, prob: Problem, clamp: bool):
-        self.prob, self.w, self.t = prob, prob.w, prob.t
-        self.t2, self.half_t2 = prob.t2, prob.half_t2
-        self.t2_min, self.t2_max = prob.t2_min, prob.t2_max
-        self.clamp = clamp
-        self.head, self.lb_head = (prob.head, prob.lb_head) if clamp else _NO_HEAD
-        self.bufs = [self._buffers()]
+        self.prob, self.clamp = prob, clamp
         self.memo, self.ys = prob.memo(clamp)
-        self.sums = None
-        self.threads = 1
-        self.worker = None
+        self.bufs = [self._buffers()]
+        self.pool = None
 
     def _buffers(self):
-        leaf = min(self.t2.size, _LEAF)
+        leaf = min(self.prob.t2.size, _LEAF)
         return np.empty(leaf), np.empty(leaf)
 
     def __enter__(self):
-        self.threads = min(2, _usable_cpus())
+        if len(self.prob.leaves) > 1 and _usable_cpus() > 1:
+            self.bufs.append(self._buffers())
+            self.pool = ThreadPoolExecutor(1, thread_name_prefix="randqpe-leaf-walk")
         return self
 
     def __exit__(self, *exc):
-        if self.worker is not None:
-            self.job = None
-            self.go.release()
-            self.worker.join()
-            self.worker = None
-
-    def _start_worker(self):
-        self.bufs.append(self._buffers())
-        self.go, self.done = threading.Semaphore(0), threading.Semaphore(0)
-        self.worker = threading.Thread(target=self._serve, args=self.bufs[1],
-                                       name="randqpe-leaf-walk", daemon=True)
-        self.worker.start()
-
-    def _serve(self, rb, ub):
-        while True:
-            self.go.acquire()
-            job = self.job
-            if job is None:
-                return
-            self._drain(job, rb, ub)
-            self.done.release()
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
 
     def _fill_r(self, s: float, lo: int, hi: int, out) -> np.ndarray:
         """R(s) on the entries lo:hi, written to out."""
-        r = np.divide(4.0 * s, self.t2[lo:hi], out=out)
+        p = self.prob
+        r = np.divide(4.0 * s, p.t2[lo:hi], out=out)
         r += 1.0
         np.sqrt(r, out=r)
         r += 1.0
-        r *= self.half_t2[lo:hi]
-        k0, k1 = np.searchsorted(self.head, (lo, hi))
-        head = self.head[k0:k1] - lo
-        r[head] = np.maximum(r[head], self.lb_head[k0:k1])
+        r *= p.half_t2[lo:hi]
+        if self.clamp:
+            k0, k1 = np.searchsorted(p.head, (lo, hi))
+            head = p.head[k0:k1] - lo
+            r[head] = np.maximum(r[head], p.lb_head[k0:k1])
         return r
 
     def at(self, s: float) -> float:
@@ -283,57 +263,52 @@ class _Gates:
         Each leaf writes its entries of r, then S reads them as int64, which
         casts them as r.astype(float) would.
         """
-        r = np.empty(self.t2.size, dtype=np.int64)
+        t = self.prob.t
+        r = np.empty(t.size, dtype=np.int64)
 
         def r_leaf(lo, hi, rb, ub):
             rr = np.round(self._fill_r(s, lo, hi, rb), out=rb)
             if self.clamp:
-                lb = np.maximum(1.0, np.abs(self.t[lo:hi], out=ub), out=ub)
+                lb = np.maximum(1.0, np.abs(t[lo:hi], out=ub), out=ub)
                 lb -= 1e-9
                 np.ceil(lb, out=lb)
             else:
                 lb = 1.0
             np.copyto(r[lo:hi], np.maximum(rr, lb, out=rr), casting="unsafe")
             return r[lo:hi]
-        c_gate = self.evaluate(r_leaf)
-        self.prob.last = r, self.sums[0], c_gate
-        return r, c_gate
+        a, b = self._walk(r_leaf)
+        self.prob.last = r, a, b / a
+        return r, b / a
 
     def evaluate(self, r_leaf) -> float:
-        """S from r_leaf(lo, hi, rb, ub), the runtime entries lo:hi, which may
-        use the leaf buffers rb and ub and may return rb: every S(r) the
-        optimizers use is evaluated here.  Keeps (A, A S) in self.sums."""
-        a, b = self.sums = self._walk(r_leaf, 0, self.t2.size)
+        """S of the runtime entries r_leaf gives, as _walk takes it."""
+        a, b = self._walk(r_leaf)
         return b / a
 
-    def _walk(self, r_leaf, lo: int, n: int) -> tuple[float, float]:
-        leaves = _leaves(lo, n)
+    def _walk(self, r_leaf) -> tuple[float, float]:
+        """(A, A S) = (sum w u, sum w u r) of the runtime entries that
+        r_leaf(lo, hi, rb, ub) gives for each leaf lo:hi; it may use the
+        leaf buffers rb and ub and may return rb."""
+        leaves = self.prob.leaves
         sums, errors = [None] * len(leaves), []
-        job = (r_leaf, leaves, sums, errors, deque(range(len(leaves))))
-        helped = self.threads > 1 and len(leaves) > 1
-        if helped:
-            if self.worker is None:
-                self._start_worker()
-            self.job = job
-            self.go.release()
-        try:
-            self._drain(job, *self.bufs[0])
-        finally:
-            if helped:
-                self.done.acquire()
+        job = (r_leaf, sums, errors, deque(range(len(leaves))))
+        helper = self.pool.submit(self._drain, job, *self.bufs[1]) if self.pool else None
+        self._drain(job, *self.bufs[0])
+        if helper is not None:
+            helper.result()
         if errors:
             raise errors[0]
-        return _tree_sum(sums, n)[0]
+        return _tree_sum(sums, self.prob.t2.size)[0]
 
     def _drain(self, job, rb, ub):
         """Sum leaves of the job until none is left or one has raised."""
-        r_leaf, leaves, sums, errors, todo = job
+        r_leaf, sums, errors, todo = job
         while not errors:
             try:
                 k = todo.popleft()  # deque pops are thread-safe
             except IndexError:
                 return
-            lo, hi = leaves[k]
+            lo, hi = self.prob.leaves[k]
             try:
                 sums[k] = self._leaf(r_leaf, lo, hi, rb[:hi - lo], ub[:hi - lo])
             except BaseException as exc:  # re-raised by the calling thread
@@ -341,9 +316,9 @@ class _Gates:
 
     def _leaf(self, r_leaf, lo: int, hi: int, rb, ub) -> tuple[float, float]:
         r = r_leaf(lo, hi, rb, ub)
-        u = np.divide(self.t2[lo:hi], r, out=ub)
+        u = np.divide(self.prob.t2[lo:hi], r, out=ub)
         np.exp(u, out=u)
-        u *= self.w[lo:hi]
+        u *= self.prob.w[lo:hi]
         a = float(u.sum())
         u *= r
         return a, float(u.sum())
@@ -384,8 +359,8 @@ def solve_fixed_point(weights, times) -> float:
 
 
 def _fixed_point(gates) -> float:
-    tmax2 = gates.t2_max
-    lo = 0.5 * min(gates.t2_min, tmax2 * 1e-12)
+    tmax2 = gates.prob.t2_max
+    lo = 0.5 * min(gates.prob.t2_min, tmax2 * 1e-12)
     hi = 2.0 * tmax2 * (1.0 + 1e-9)
     if _gap(hi, gates) > 0.0:
         return hi
@@ -395,7 +370,7 @@ def _fixed_point(gates) -> float:
 def gate_floor(weights, times, *, problem: Problem | None = None) -> float:
     """Smallest expected gate count reachable by the constrained family."""
     with _Gates(_problem(weights, times, problem), clamp=True) as gates:
-        return gates.at(-0.25 * gates.t2_min * (1.0 - 1e-15))
+        return gates.at(-0.25 * gates.prob.t2_min * (1.0 - 1e-15))
 
 
 def minimize_samples(weights, times, g: float, *,
@@ -410,12 +385,13 @@ def minimize_samples(weights, times, g: float, *,
     1% on g, retrying at 2% lower targets; a failed retry at s_min is final.
     problem= as for minimize_total.
     """
-    with _Gates(_problem(weights, times, problem), clamp=True) as gates:
+    prob = _problem(weights, times, problem)
+    with _Gates(prob, clamp=True) as gates:
         if math.isnan(g) or g == math.inf:
             raise ValueError(f"gate budget {g} is not a finite number")
         if g < 1.0:
             raise FeasibilityError("gate budget below one rotation per circuit")
-        s_min = -0.25 * gates.t2_min * (1.0 - 1e-15)
+        s_min = -0.25 * prob.t2_min * (1.0 - 1e-15)
         # in y = ln(s - s_min): at this y, s_min + e^y rounds to s_min
         floor = gates.at_ln(math.log(-s_min) - 40.0, s_min)
         if g < floor * (1.0 - 1e-12):
@@ -425,7 +401,7 @@ def minimize_samples(weights, times, g: float, *,
             if floor >= target:
                 s_star = s_min
             else:
-                hi = max(2.0 * gates.t2_max, 4.0 * target)
+                hi = max(2.0 * prob.t2_max, 4.0 * target)
                 for _ in range(200):
                     y_hi = math.log(hi - s_min)
                     if gates.at_ln(y_hi, s_min) >= target:
@@ -442,7 +418,7 @@ def minimize_samples(weights, times, g: float, *,
     if not feasible:
         raise FeasibilityError("rounding could not satisfy the gate budget")
     if r.size <= 256:
-        r = _polish(gates.w, gates.t2, np.maximum(1.0, np.abs(gates.t)), r, g_cap)
+        r = _polish(prob.w, prob.t2, np.maximum(1.0, np.abs(prob.t)), r, g_cap)
     return r
 
 
@@ -492,6 +468,8 @@ def _report(weights, times, r, eta, eps, theta, exact_mu, M, bias):
     """complexity_report and the mu vector behind it, which build_plan keeps."""
     w, t = _validate(weights, times)
     r = np.asarray(r)
+    if not np.isfinite(r).all():
+        raise ValueError("runtime entries must be finite (no NaN or inf)")
     if np.any(r < 1):
         raise ValueError("runtime entries must be >= 1")
     if not 0.0 < eps < eta / 2.0 <= 0.5:

@@ -151,10 +151,3 @@ def harmonic_half(d: int) -> float:
         return 2.0 - 2.0 * math.log(2.0)
     ks = np.arange(1, d + 1, dtype=float)
     return 2.0 - 2.0 * math.log(2.0) + math.fsum(1.0 / (ks + 0.5))
-
-
-def erf(x):
-    """Error function (vectorized)."""
-    if np.isscalar(x):
-        return math.erf(x)
-    return _sp.erf(np.asarray(x, dtype=float))

@@ -167,8 +167,8 @@ class TestGroundEnergy:
                     "--out", str(out)]) == 0
         h = parse_hamiltonian(Path(ham_mix).read_text())
         res = estimator.ground_energy(h, prepare_state("groundmix:0.6", h), 0.2, 0.6,
-                                      0.1, derive_rng(5), seed=5)
-        expect = dict(res.to_json_dict(), plan_hash=_plan_hash(res.plan))
+                                      0.1, derive_rng(5))
+        expect = dict(res.to_json_dict(), seed=5, plan_hash=_plan_hash(res.plan))
         assert out.read_text() == json.dumps(expect, indent=2) + "\n"
         assert res.theta == res.plan.theta == 0.1 / res.s_queries
 
@@ -239,6 +239,15 @@ class TestResourceCurve:
                     "--eta", "1", "--eps", "0.2", "--b", "1", "--ngrid", "3"]) == 2
         err = capsys.readouterr().err
         assert "filter degree d = 1198471035830 exceeds the cap 8388608" in err
+
+
+@pytest.mark.parametrize("rmode", ["constant", "total"])
+def test_gate_budget_outside_gated_exit_2(ham_mix, capsys, rmode):
+    # a budget g that the runtime vector would ignore is an input error
+    assert run(["plan", "--ham", ham_mix, "--Delta", "0.3", "--eta", "0.8",
+                "--eps", "0.2", "--theta", "0.05", "--rmode", rmode,
+                "--g", "1.0"]) == 2
+    assert f"gate budget g applies to rmode 'gated' only, not '{rmode}'" in capsys.readouterr().err
 
 
 def test_gated_infeasible_exit_3(ham_mix):

@@ -382,7 +382,7 @@ class TestGroundEnergy:
     def test_single_qubit_z(self):
         h = rq.parse_hamiltonian("1.0 Z")
         s = backend.prepare_state("basis:1")
-        res = estimator.ground_energy(h, s, 0.1, 1.0, 0.1, derive_rng(7), seed=7)
+        res = estimator.ground_energy(h, s, 0.1, 1.0, 0.1, derive_rng(7))
         assert -1.1 <= res.estimate <= -0.9
         assert res.interval_lo <= -1.0 <= res.interval_hi
         assert res.queries_used <= res.s_queries

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from randqpe import heaviside, specfun
 
@@ -178,7 +179,7 @@ class TestCheb:
     def test_erf_approximation_bound(self):
         params = heaviside.select_parameters(0.4, 0.1, 0.05, 0.1)
         xs = np.linspace(-1, 1, 1501)
-        err = np.abs(specfun.erf(math.sqrt(2 * params.beta) * xs)
+        err = np.abs(erf(math.sqrt(2 * params.beta) * xs)
                      - eval_cheb_q(cheb_q_odd(params), xs))
         assert err.max() <= params.eps1 + params.eps2
 
@@ -188,7 +189,7 @@ def test_sign_function_erf_bound():
     for nu, e3 in ((0.3, 0.1), (0.05, 0.02)):
         k = math.sqrt(specfun.lambert_w0(2 / (math.pi * e3 ** 2)) / (2 * nu ** 2))
         xs = np.concatenate([np.linspace(nu, 10, 500), -np.linspace(nu, 10, 500)])
-        err = np.abs(np.sign(xs) - specfun.erf(k * xs))
+        err = np.abs(np.sign(xs) - erf(k * xs))
         assert err.max() <= e3 * (1 + 1e-12)
 
 

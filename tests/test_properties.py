@@ -121,8 +121,12 @@ def test_resource_curve_exits_0_2_or_3(lam, Delta, eta, eps, b):
        rmode=st.sampled_from(["constant", "total", "gated"]))
 def test_plan_exits_0_2_or_3(Delta, eta, eps, b, g, rmode, tmp_path_factory):
     ham = _ham_file(tmp_path_factory)
-    assert _exit_code(["plan", f"--ham={ham}", "--theta=0.1", f"--rmode={rmode}"], {
-        "Delta": Delta, "eta": eta, "eps": eps, "b": b, "g": g}) in (0, 2, 3)
+    # a budget goes with 'gated' only: elsewhere it exits 2 before any solve
+    options = {"Delta": Delta, "eta": eta, "eps": eps, "b": b}
+    if rmode == "gated":
+        options["g"] = g
+    assert _exit_code(["plan", f"--ham={ham}", "--theta=0.1", f"--rmode={rmode}"],
+                      options) in (0, 2, 3)
 
 
 @settings(max_examples=60, deadline=None, database=None)

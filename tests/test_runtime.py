@@ -189,14 +189,7 @@ def test_heavy_sweep_evaluation_count_and_oracle(monkeypatch):
     c_gate_opt = runtime.weight_and_gates(weights, np.exp(times ** 2 / r_opt), r_opt)[1]
     problem = runtime.Problem(weights, times)
     floor = runtime.gate_floor(weights, times, problem=problem)
-    calls = []
-    orig = runtime._Gates.evaluate
-
-    def counting(self, r_leaf):
-        calls.append(1)
-        return orig(self, r_leaf)
-
-    monkeypatch.setattr(runtime._Gates, "evaluate", counting)
+    calls = _count_evaluations(monkeypatch)
     feasible = 0
     for g in np.geomspace(1.05 * c_gate_opt, floor * (1 + 1e-6), 10):
         expect = _bracket_in_s(weights, times, float(g))
@@ -273,20 +266,20 @@ def test_leaf_walk_has_the_bits_of_whole_array_sums(n, clamp):
         wu = w * np.exp(t2 / r)
         sums = (float(wu.sum()), float((wu * r).sum()))
         np.testing.assert_array_equal(gates._fill_r(s, 0, n, np.empty(n)), r)
-        assert gates._walk(lambda lo, hi, rb, ub: r[lo:hi], 0, n) == sums
+        assert gates._walk(lambda lo, hi, rb, ub: r[lo:hi]) == sums
         assert gates.at(s) == float(sums[1] / sums[0])
 
 
 def _count_evaluations(monkeypatch) -> list:
-    """One entry per S(r) evaluated from here on."""
+    """One entry per S(r) evaluated from here on: one per leaf walk."""
     calls = []
-    orig = runtime._Gates.evaluate
+    orig = runtime._Gates._walk
 
     def counting(self, r_leaf):
         calls.append(1)
         return orig(self, r_leaf)
 
-    monkeypatch.setattr(runtime._Gates, "evaluate", counting)
+    monkeypatch.setattr(runtime._Gates, "_walk", counting)
     return calls
 
 
@@ -339,6 +332,17 @@ def test_non_finite_input_raises_naming_the_array(call, value, name):
     (w if name == "weights" else t)[2] = value
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call(w, t)
+
+
+@pytest.mark.parametrize("exact_mu", [False, True])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_runtime_vector_raises(value, exact_mu):
+    w, t = random_instance(np.random.default_rng(8))
+    r = np.full(w.size, 5.0)
+    r[2] = value
+    with pytest.raises(ValueError, match="^runtime entries must be finite"):
+        runtime.complexity_report(w, t, r, eta=1.0, eps=0.2, theta=0.1,
+                                  exact_mu=exact_mu, M=8)
 
 
 def test_curve_builds_one_problem_per_eps(monkeypatch):
@@ -425,16 +429,16 @@ HEAVY_CURVE_SHA256 = "be6ef7c3c5a98fbf301a6d15980f29ef12f91a04d14de0cc5a1878c377
 
 
 def _started_threads(monkeypatch) -> list:
-    """Names of the threads started from here on, through threading.Thread."""
-    names = []
+    """The threads started from here on, through threading.Thread."""
+    started = []
 
     class Recorded(threading.Thread):
         def start(self):
-            names.append(self.name)
+            started.append(self)
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Recorded)
-    return names
+    return started
 
 
 class TestTwoThreadWalk:
@@ -481,6 +485,7 @@ class TestTwoThreadWalk:
     def test_each_leaf_once_under_frequent_switches(self, monkeypatch):
         monkeypatch.setattr(runtime, "_usable_cpus", lambda: 2)
         w, t = self.instance()
+        started = _started_threads(monkeypatch)
         gen = np.random.default_rng(3)
         rs = [t * t * gen.uniform(0.5, 4.0, size=t.size) for _ in range(3)]
         want = [float((w * np.exp(t * t / r) * r).sum() / (w * np.exp(t * t / r)).sum())
@@ -498,10 +503,9 @@ class TestTwoThreadWalk:
                         return r[lo:hi]
                     assert gates.evaluate(r_leaf) == want[i % 3]
                     assert sorted(seen) == leaves
-                worker = gates.worker
         finally:
             sys.setswitchinterval(interval)
-        assert worker is not None and not worker.is_alive()
+        assert len(started) == 1 and not started[0].is_alive()
 
     @pytest.mark.parametrize("cpus", [1, 8])
     def test_heavy_curve_digest(self, monkeypatch, capsys, cpus):

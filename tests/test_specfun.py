@@ -177,15 +177,3 @@ class TestHarmonic:
         for d in (0, 1, 7, 100, 5000):
             ref = float(sp.digamma(d + 1.5)) + np.euler_gamma
             assert specfun.harmonic_half(d) == pytest.approx(ref, rel=1e-12)
-
-
-class TestErf:
-    def test_values(self):
-        assert specfun.erf(0.0) == 0.0
-        assert specfun.erf(20.0) == pytest.approx(1.0, abs=1e-15)
-        # power-series oracle at 1: 0.8427007929497149
-        assert specfun.erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-13)
-
-    def test_odd(self):
-        xs = np.linspace(-3, 3, 31)
-        np.testing.assert_allclose(specfun.erf(-xs), -specfun.erf(xs), atol=1e-15)
