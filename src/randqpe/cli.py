@@ -239,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "eps", None) is None and args.command in ("plan", "estimate-cdf", "ground-energy"):
-        args.eps = args.eta / 4.0
     try:
         return args.fn(args)
     except FeasibilityError as exc:

@@ -93,27 +93,45 @@ class SampleSet:
         self.m.flags.writeable = False
 
 
-def _check_plan_args(lam: float, Delta: float, eta: float, eps: float, b: float):
-    if Delta <= 0:
+def _check_window_args(lam: float, Delta: float, b: float):
+    """Reject (lambda, Delta, b) that _window cannot turn into a filter; NaN fails."""
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
+    if not Delta > 0:
         raise ValueError("Delta must be positive")
-    if b < 1.0:
+    if not b >= 1.0:
         raise ValueError("b must be >= 1")
-    if Delta > 2.0 * lam / b:
+    if not Delta <= 2.0 * lam / b:
         raise ValueError("need Delta <= 2 lambda / b to keep delta below pi/2")
+
+
+def _check_plan_args(lam: float, Delta: float, eta: float, eps: float | None, b: float,
+                     rmode: str, g: float | None) -> float:
+    """Reject plan inputs before the filter is built; returns eps, eta/4 if None."""
+    _check_window_args(lam, Delta, b)
+    if eps is None:
+        eps = eta / 4.0
     if not 0.0 < eps < eta / 2.0 <= 0.5:
         raise ValueError("need 0 < eps < eta/2 <= 1/2")
+    if g is not None and rmode != "gated":
+        raise ValueError(f"a gate budget g applies to rmode 'gated' only, not {rmode!r}")
+    if rmode not in ("constant", "total", "gated"):
+        raise ValueError(f"unknown rmode {rmode!r}")
+    if rmode == "gated" and g is None:
+        raise ValueError("rmode 'gated' needs a gate budget g")
+    return eps
 
 
-def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float, theta: float,
+def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float | None, theta: float,
                b: float = 1.0, rmode: str = "total", g: float | None = None) -> Plan:
     """Assemble tau, filter, runtime vector, truncation order, and budgets.
 
     rmode selects the runtime vector: 'constant' (r_j = ceil(2 t_j^2)),
     'total' (minimize 2 c_sample c_gate), or 'gated' (minimize c_sample
     subject to expected gates <= g).  delta is tau Delta, the plain
-    thresholding setting; `ground_energy` halves it.
+    thresholding setting; `ground_energy` halves it.  eps=None is eta/4.
     """
-    _check_plan_args(h.lam, Delta, eta, eps, b)
+    eps = _check_plan_args(h.lam, Delta, eta, eps, b, rmode, g)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be a probability")
     return _assemble(h, _window(h.lam, Delta, b, eps), eta, eps, theta, b, rmode, g)
@@ -122,19 +140,13 @@ def build_plan(h: Hamiltonian, Delta: float, eta: float, eps: float, theta: floa
 def _assemble(h: Hamiltonian, window, eta: float, eps: float, theta: float, b: float,
               rmode: str, g: float | None) -> Plan:
     tau, delta, series, js, times, weights = window
-    if g is not None and rmode != "gated":
-        raise ValueError(f"a gate budget g applies to rmode 'gated' only, not {rmode!r}")
     problem = runtime.Problem(weights, times)
     if rmode == "constant":
         rvec = runtime.constant_weight(times)
     elif rmode == "total":
         rvec = runtime.minimize_total(weights, times, problem=problem)
-    elif rmode == "gated":
-        if g is None:
-            raise ValueError("rmode 'gated' needs a gate budget g")
+    else:  # 'gated', with g, as _check_plan_args ensured
         rvec = runtime.minimize_samples(weights, times, g, problem=problem)
-    else:
-        raise ValueError(f"unknown rmode {rmode!r}")
     gamma = 0.01 * (eta / 2.0 - eps)
     a_u, cg_u = problem.cost(rvec)
     M = truncation_order(gamma, a_u, cg_u)
@@ -152,9 +164,9 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
 
     The segment draws follow the LCU sampler's distribution exactly
     (truncated even orders, i.i.d. Pauli indices), evaluated in batches.
-    Records are sorted by descending r_i and cut into consecutive blocks
-    whose state and work buffers (56 B per amplitude per record) are
-    allocated once and reused, so the state memory of a call is bounded
+    Records are sorted by descending r_i and cut into consecutive blocks,
+    each of which allocates its own state and work buffers (56 B per
+    amplitude per record), so the state memory of a call is bounded
     whatever c_sample is.  Within a block all live records advance one
     segment per step, so the live records form a prefix whose width m is
     constant over runs of steps, one run per distinct r_i.  A step draws 2m
@@ -164,12 +176,14 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
 
     A call with c_sample * 2^n * 56 B <= _BLOCK_BYTES is one block, run
     inline on rng: it draws the stream of the unblocked loop.  A larger call
-    is cut into blocks of _BLOCK_BYTES / 2, two of them in flight on up to
-    two threads, so its buffers stay within the same budget.  Each block draws
-    its segments from its own generator, spawned in block order from one
-    draw of rng, so the records do not depend on the CPU count or on thread
-    timing.  For a fixed seed the record stream is byte-identical across
-    runs and releases (tests pin its digest); a change to it must be stated.
+    is cut into blocks of _BLOCK_BYTES / 2, one task per block submitted in
+    block order to an executor of up to two threads: an idle worker takes
+    the next block, so at most two are in flight and their buffers stay
+    within the same budget.  Each block draws its segments from its own
+    generator, spawned in block order from one draw of rng, so the records
+    do not depend on the CPU count or on thread timing.  For a fixed seed
+    the record stream is byte-identical across runs and releases (tests pin
+    its digest); a change to it must be stated.
     """
     if plan.h.width != state.width:
         raise ValueError("plan and state widths differ")
@@ -213,23 +227,13 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     z = np.empty(n_rec, dtype=complex)
     rows = max(1, _BLOCK_BYTES // (dim * _BYTES_PER_AMP))
     if n_rec <= rows:
-        _run_blocks([slice(0, n_rec)], [rng], recs, tables, z)
+        _run_block(slice(0, n_rec), rng, recs, tables, z)
     else:
         rows = max(1, rows // 2)
         blocks = [slice(a, min(a + rows, n_rec)) for a in range(0, n_rec, rows)]
-        rngs = _block_rngs(rng, len(blocks))
-        # a block costs about its state-vector updates, sum r_i: each goes to
-        # the least loaded worker, in block order (descending r)
-        workers = min(2, _usable_cpus())
-        loads, shares = [0] * workers, [[] for _ in range(workers)]
-        for k, b in enumerate(blocks):
-            w = loads.index(min(loads))
-            shares[w].append(k)
-            loads[w] += int(r_s[b].sum())
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(_run_blocks, [blocks[k] for k in share],
-                                   [rngs[k] for k in share], recs, tables, z)
-                       for share in shares]
+        with ThreadPoolExecutor(min(2, _usable_cpus())) as pool:
+            futures = [pool.submit(_run_block, b, gen, recs, tables, z)
+                       for b, gen in zip(blocks, _block_rngs(rng, len(blocks)))]
             for f in futures:
                 f.result()
     m = _hadamard_outcomes(z, rng)[inv_order]
@@ -243,66 +247,62 @@ def _block_rngs(rng: np.random.Generator, n: int) -> list:
     return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(n)]
 
 
-def _run_blocks(blocks, rngs, recs, tables, z):
-    """Run the step loop on each block slice of the sorted records, block k
-    drawing from rngs[k], and write each record's overlap <psi0|psi> into z.
+def _run_block(b, rng, recs, tables, z):
+    """Run the step loop on the block slice b of the sorted records, drawing
+    from rng, and write each record's overlap <psi0|psi> into z[b].
 
-    The state and work buffers are allocated here at the largest block's
-    size, so concurrent calls share only read-only inputs and write disjoint
-    rows of z.
+    The state and work buffers are allocated here at the block's size, so
+    concurrent calls share only read-only inputs and write disjoint rows of
+    z; a worker that finishes its block takes the next one not yet started.
     """
-    gid_s, r_s, rot_sign, cos0, isin0, q0 = recs
+    gid_b, r_b, sign_b, cos_b, isin_b, q0_b = (a[b] for a in recs)
     psi0, psi0_conj, cum_term, g_tab, f_tab, q_cum, thetas, orders = tables
-    n_orders, dim = len(orders), psi0.size
-    blk = max(b.stop - b.start for b in blocks)
+    n_orders, dim, blk = len(orders), psi0.size, r_b.size
     psi = np.empty((blk, dim), dtype=complex)
     flat, row_base = psi.reshape(-1), (np.arange(blk) * dim)[:, None]
     idx_buf = np.empty((blk, dim), dtype=np.int64)
     phase_buf, gath_buf = np.empty((2, blk, dim), dtype=complex)
-    for b, rng in zip(blocks, rngs):
-        gid_b, r_b, sign_b, cos_b, isin_b, q0_b = (
-            a[b] for a in (gid_s, r_s, rot_sign, cos0, isin0, q0))
-        psi[:r_b.size] = psi0
-        done = 0
-        for r_end in np.unique(r_b):  # ascending; the live prefix shrinks after each
-            m = int(np.searchsorted(-r_b, -r_end, side="right"))
-            live, idx, phase, gath = psi[:m], idx_buf[:m], phase_buf[:m], gath_buf[:m]
-            cos_m, isin_m, q0_m, base = cos_b[:m, None], isin_b[:m, None], q0_b[:m], row_base[:m]
-            for _ in range(done, r_end):
-                u = rng.random(2 * m)
-                ells = np.searchsorted(cum_term, u[m:], side="right")
-                hi = np.flatnonzero(u[:m] > q0_m)
-                np.take(g_tab, ells, axis=0, out=idx, mode="clip")
-                idx += base
-                np.take(flat, idx, out=gath, mode="clip")
-                np.take(f_tab, ells, axis=0, out=phase, mode="clip")
-                np.multiply(phase, gath, out=gath)
-                for k, row in enumerate(hi):  # phase is free now: keep pre-step rows there
-                    phase[k] = live[row]
-                np.multiply(isin_m, gath, out=gath)
-                np.multiply(cos_m, live, out=live)
-                np.add(live, gath, out=live)
-                for row, prev in zip(hi, phase):
-                    ni = n_orders - 1 - int((u[row] <= q_cum[gid_b[row], :-1]).sum())
-                    n = int(orders[ni])
-                    th = float(thetas[gid_b[row], ni]) * sign_b[row]
-                    el0 = int(ells[row])
-                    # vec = cos(th) prev + i sin(th) P prev, then the extra
-                    # factors, in place with the row's gather buffer as scratch
-                    vec, tmp = live[row], gath[row]
-                    prev.take(g_tab[el0], out=tmp, mode="clip")
-                    np.multiply(f_tab[el0], tmp, out=tmp)
-                    np.multiply(1j * math.sin(th), tmp, out=tmp)
-                    np.multiply(math.cos(th), prev, out=vec)
-                    np.add(vec, tmp, out=vec)
-                    extra = np.searchsorted(cum_term, rng.random(n), side="right")
-                    for el in extra:
-                        vec.take(g_tab[el], out=tmp, mode="clip")
-                        np.multiply(f_tab[el], tmp, out=vec)
-                    if n % 4 != 0:
-                        np.negative(vec, out=vec)
-            done = r_end
-        z[b] = psi[:r_b.size] @ psi0_conj
+    psi[:] = psi0
+    done = 0
+    for r_end in np.unique(r_b):  # ascending; the live prefix shrinks after each
+        m = int(np.searchsorted(-r_b, -r_end, side="right"))
+        live, idx, phase, gath = psi[:m], idx_buf[:m], phase_buf[:m], gath_buf[:m]
+        cos_m, isin_m, q0_m, base = cos_b[:m, None], isin_b[:m, None], q0_b[:m], row_base[:m]
+        for _ in range(done, r_end):
+            u = rng.random(2 * m)
+            ells = np.searchsorted(cum_term, u[m:], side="right")
+            hi = np.flatnonzero(u[:m] > q0_m)
+            np.take(g_tab, ells, axis=0, out=idx, mode="clip")
+            idx += base
+            np.take(flat, idx, out=gath, mode="clip")
+            np.take(f_tab, ells, axis=0, out=phase, mode="clip")
+            np.multiply(phase, gath, out=gath)
+            for k, row in enumerate(hi):  # phase is free now: keep pre-step rows there
+                phase[k] = live[row]
+            np.multiply(isin_m, gath, out=gath)
+            np.multiply(cos_m, live, out=live)
+            np.add(live, gath, out=live)
+            for row, prev in zip(hi, phase):
+                ni = n_orders - 1 - int((u[row] <= q_cum[gid_b[row], :-1]).sum())
+                n = int(orders[ni])
+                th = float(thetas[gid_b[row], ni]) * sign_b[row]
+                el0 = int(ells[row])
+                # vec = cos(th) prev + i sin(th) P prev, then the extra
+                # factors, in place with the row's gather buffer as scratch
+                vec, tmp = live[row], gath[row]
+                prev.take(g_tab[el0], out=tmp, mode="clip")
+                np.multiply(f_tab[el0], tmp, out=tmp)
+                np.multiply(1j * math.sin(th), tmp, out=tmp)
+                np.multiply(math.cos(th), prev, out=vec)
+                np.add(vec, tmp, out=vec)
+                extra = np.searchsorted(cum_term, rng.random(n), side="right")
+                for el in extra:
+                    vec.take(g_tab[el], out=tmp, mode="clip")
+                    np.multiply(f_tab[el], tmp, out=vec)
+                if n % 4 != 0:
+                    np.negative(vec, out=vec)
+        done = r_end
+    z[b] = psi @ psi0_conj
 
 
 def _check_x(plan: Plan, x: float):
@@ -380,9 +380,7 @@ def ground_energy(h: Hamiltonian, state: StateVector, Delta: float, eta: float,
     """
     if not 0.0 < xi < 1.0:
         raise ValueError("xi must lie in (0, 1)")
-    if eps is None:
-        eps = eta / 4.0
-    _check_plan_args(h.lam, Delta, eta, eps, b)
+    eps = _check_plan_args(h.lam, Delta, eta, eps, b, rmode, g)
     window = _window(h.lam, Delta, b, eps, delta_scale=0.5)
     tau, delta = window[:2]
     s = plan_queries(tau, h.lam / b, delta)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import runtime
-from .estimator import _window, plan_queries
+from .estimator import _check_window_args, _window, plan_queries
 
 HWP_DEFAULT_WIDTHS = (40, 100)
 
@@ -118,10 +118,7 @@ def tradeoff_curve(lam: float, Delta: float, eta: float, eps_list, b: float = 1.
     gate-constrained sweep from 1.05x the optimal budget down to the
     feasibility floor.  Infeasible budgets become warning records.
     """
-    if lam <= 0 or Delta <= 0:
-        raise ValueError("lambda and Delta must be positive")
-    if not b >= 1.0:
-        raise ValueError("b must be >= 1")
+    _check_window_args(lam, Delta, b)
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     if n_grid < 0:

@@ -205,7 +205,10 @@ class _Gates:
     the next leaf not yet taken and writes its sums to that leaf's slot;
     the slots are added in tree order, so S keeps its bits for any thread
     count and timing.  Only the calling thread allocates: one pair of leaf
-    buffers per thread.
+    buffers per thread.  A leaf that raises stops only its own thread; the
+    other takes the leaves left, and the error, from either thread, reaches
+    the caller after both have stopped, through the helper's future or
+    through the `finally` that joins it.
     """
 
     def __init__(self, prob: Problem, clamp: bool):
@@ -290,29 +293,25 @@ class _Gates:
         r_leaf(lo, hi, rb, ub) gives for each leaf lo:hi; it may use the
         leaf buffers rb and ub and may return rb."""
         leaves = self.prob.leaves
-        sums, errors = [None] * len(leaves), []
-        job = (r_leaf, sums, errors, deque(range(len(leaves))))
-        helper = self.pool.submit(self._drain, job, *self.bufs[1]) if self.pool else None
-        self._drain(job, *self.bufs[0])
-        if helper is not None:
-            helper.result()
-        if errors:
-            raise errors[0]
+        sums, todo = [None] * len(leaves), deque(range(len(leaves)))
+        helper = None if self.pool is None else self.pool.submit(
+            self._drain, r_leaf, sums, todo, *self.bufs[1])
+        try:
+            self._drain(r_leaf, sums, todo, *self.bufs[0])
+        finally:
+            if helper is not None:
+                helper.result()
         return _tree_sum(sums, self.prob.t2.size)[0]
 
-    def _drain(self, job, rb, ub):
-        """Sum leaves of the job until none is left or one has raised."""
-        r_leaf, sums, errors, todo = job
-        while not errors:
+    def _drain(self, r_leaf, sums, todo, rb, ub):
+        """Sum the leaves left in todo until none is; a leaf's error propagates."""
+        while True:
             try:
                 k = todo.popleft()  # deque pops are thread-safe
             except IndexError:
                 return
             lo, hi = self.prob.leaves[k]
-            try:
-                sums[k] = self._leaf(r_leaf, lo, hi, rb[:hi - lo], ub[:hi - lo])
-            except BaseException as exc:  # re-raised by the calling thread
-                errors.append(exc)
+            sums[k] = self._leaf(r_leaf, lo, hi, rb[:hi - lo], ub[:hi - lo])
 
     def _leaf(self, r_leaf, lo: int, hi: int, rb, ub) -> tuple[float, float]:
         r = r_leaf(lo, hi, rb, ub)

@@ -250,6 +250,21 @@ def test_gate_budget_outside_gated_exit_2(ham_mix, capsys, rmode):
     assert f"gate budget g applies to rmode 'gated' only, not '{rmode}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, frag", [
+    (["resource-curve", "--lambda", "1", "--Delta", "3", "--eta", "1", "--eps", "0.2",
+      "--ngrid", "3"], "need Delta <= 2 lambda / b"),
+    (["resource-curve", "--lambda", "nan", "--Delta", "1", "--eta", "1", "--eps", "0.2",
+      "--ngrid", "3"], "lambda must be positive"),
+    (["plan", "--ham", None, "--Delta", "0.3", "--eta", "0.8", "--eps", "0.2",
+      "--theta", "0.05", "--b", "nan"], "b must be >= 1"),
+], ids=["Delta-above-2lambda", "lambda-nan", "b-nan"])
+def test_lambda_Delta_b_errors_name_the_input(ham_mix, capsys, argv, frag):
+    # not the derived delta = tau Delta that the filter would reject later
+    assert run([ham_mix if a is None else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert frag in err and "delta must lie" not in err
+
+
 def test_gated_infeasible_exit_3(ham_mix):
     assert run(["plan", "--ham", ham_mix, "--Delta", "0.3", "--eta", "0.8",
                 "--eps", "0.2", "--theta", "0.05", "--rmode", "gated",

@@ -112,6 +112,27 @@ class TestBuildPlan:
         with pytest.raises(ValueError):
             estimator.build_plan(h, 0.1, 1.0, 0.2, 0.1, rmode="gated")  # missing g
 
+    @pytest.mark.parametrize("rmode, g, frag", [
+        ("fast", None, "unknown rmode 'fast'"),
+        ("gated", None, "rmode 'gated' needs a gate budget g"),
+        ("total", 60.0, "a gate budget g applies to rmode 'gated' only, not 'total'"),
+    ])
+    def test_rmode_and_g_errors_come_before_the_filter(self, monkeypatch, rmode, g, frag):
+        h = rq.parse_hamiltonian("1.0 Z\n0.3 X\n")
+        calls, window = [], estimator._window
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return window(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "_window", recording)
+        with pytest.raises(ValueError, match=frag):
+            estimator.build_plan(h, 0.1, 1.0, 0.2, 0.1, rmode=rmode, g=g)
+        with pytest.raises(ValueError, match=frag):
+            estimator.ground_energy(h, backend.prepare_state("basis:0", h), 0.1, 1.0, 0.1,
+                                    derive_rng(1), rmode=rmode, g=g)
+        assert calls == []
+
     @pytest.mark.parametrize("rmode, g", [("constant", None), ("total", None),
                                           ("gated", 60.0)])
     def test_mu_computed_once(self, monkeypatch, rmode, g):

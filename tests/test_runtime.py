@@ -535,6 +535,29 @@ class TestTwoThreadWalk:
             runtime.gate_floor(w, t)
         assert threading.active_count() == threads
 
+    def test_caller_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(runtime, "_usable_cpus", lambda: 2)
+        w, t = self.instance()
+        caller = threading.get_ident()
+        helper_running, raising = threading.Event(), threading.Event()
+        fill_r = runtime._Gates._fill_r
+
+        def failing(self, s, lo, hi, out):
+            if threading.get_ident() == caller:
+                assert helper_running.wait(30), "no leaf ran on the helper"
+                raising.set()
+                raise ArithmeticError(f"leaf {lo}:{hi} failed")
+            # the helper's first leaf is still running when the caller raises
+            helper_running.set()
+            assert raising.wait(30), "the calling thread ran no leaf"
+            return fill_r(self, s, lo, hi, out)
+
+        monkeypatch.setattr(runtime._Gates, "_fill_r", failing)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="failed"):
+            runtime.gate_floor(w, t)
+        assert threading.active_count() == threads
+
     def test_one_leaf_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(runtime, "_usable_cpus", lambda: 8)
         started = _started_threads(monkeypatch)
