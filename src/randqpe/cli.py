@@ -212,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-cdf", help="ACDF estimates at thresholds")
     _add_plan_args(p)
     p.add_argument("--state", required=True)
-    p.add_argument("--x", required=True, help="comma-separated thresholds")
+    p.add_argument("--x", required=True,
+                   help="comma-separated thresholds; write a list that starts with a minus "
+                        "sign as --x=-0.2,0.1, or argparse reads it as an option")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_estimate_cdf)

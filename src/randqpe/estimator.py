@@ -9,7 +9,14 @@ single quantum data set.
 
 from __future__ import annotations
 
+import ctypes
+import importlib.resources
 import math
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,6 +34,12 @@ from .runtime import _usable_cpus
 # holds at one time keep their buffers within _BLOCK_BYTES.
 _BYTES_PER_AMP = 56
 _BLOCK_BYTES = 8 << 20
+
+# run_block of _steps.c, compiled at the first collect_samples call of the
+# process; None where no C compiler built it, and the numpy loop runs instead.
+_UNBUILT = object()
+_steps = _UNBUILT
+_steps_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -165,14 +178,21 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     The segment draws follow the LCU sampler's distribution exactly
     (truncated even orders, i.i.d. Pauli indices), evaluated in batches.
     Records are sorted by descending r_i and cut into consecutive blocks,
-    each of which allocates its own state and work buffers (56 B per
-    amplitude per record), so the state memory of a call is bounded
+    each of which allocates its own state and work buffers (at most 56 B
+    per amplitude per record), so the state memory of a call is bounded
     whatever c_sample is.  Within a block all live records advance one
     segment per step, so the live records form a prefix whose width m is
     constant over runs of steps, one run per distinct r_i.  A step draws 2m
     uniforms (orders, then rotation terms), applies the order-0 rotation to
-    the whole prefix in place and redoes the rare higher-order rows from
-    pre-step copies.
+    the prefix and redoes the rare higher-order rows from pre-step copies,
+    each with its extra term draws in row order.
+
+    The steps of a block run in the C kernel _steps.c, which the first call
+    of a process compiles with `cc` from PATH and loads with ctypes; it
+    draws from the generator's own next_double and computes every value in
+    the numpy loop's order, so both give the same records and leave the
+    generator in the same state.  Where no compiler is found or the build
+    fails, the numpy loop in _run_block runs instead.
 
     A call with c_sample * 2^n * 56 B <= _BLOCK_BYTES is one block, run
     inline on rng: it draws the stream of the unblocked loop.  A larger call
@@ -225,14 +245,15 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     tables = (psi0, psi0.conj(), cum_term, g_tab, f_tab, q_cum, thetas, segs[0].orders)
 
     z = np.empty(n_rec, dtype=complex)
+    steps = _kernel()
     rows = max(1, _BLOCK_BYTES // (dim * _BYTES_PER_AMP))
     if n_rec <= rows:
-        _run_block(slice(0, n_rec), rng, recs, tables, z)
+        _run_block(slice(0, n_rec), rng, recs, tables, z, steps)
     else:
         rows = max(1, rows // 2)
         blocks = [slice(a, min(a + rows, n_rec)) for a in range(0, n_rec, rows)]
         with ThreadPoolExecutor(min(2, _usable_cpus())) as pool:
-            futures = [pool.submit(_run_block, b, gen, recs, tables, z)
+            futures = [pool.submit(_run_block, b, gen, recs, tables, z, steps)
                        for b, gen in zip(blocks, _block_rngs(rng, len(blocks)))]
             for f in futures:
                 f.result()
@@ -247,22 +268,72 @@ def _block_rngs(rng: np.random.Generator, n: int) -> list:
     return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(n)]
 
 
-def _run_block(b, rng, recs, tables, z):
+def _kernel():
+    """The compiled run_block of _steps.c, built once per process; None
+    where `cc` is not on PATH or the build fails."""
+    global _steps
+    with _steps_lock:
+        if _steps is _UNBUILT:
+            _steps = _build_kernel()
+        return _steps
+
+
+def _build_kernel():
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    source = importlib.resources.files(__package__) / "_steps.c"
+    # -fno-builtin keeps sin and cos the libm calls math.sin and math.cos make
+    # (gcc would merge them into one sincos); no fast-math, no fused products
+    with tempfile.TemporaryDirectory() as tmp, importlib.resources.as_file(source) as src:
+        lib = os.path.join(tmp, "_steps.so")
+        try:
+            subprocess.run([cc, "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC",
+                            "-shared", "-o", lib, str(src), "-lm"],
+                           check=True, capture_output=True, timeout=120)
+            run_block = ctypes.CDLL(lib).run_block
+        except (OSError, subprocess.SubprocessError):
+            return None
+    i64, f64, c128 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                      for t in (np.int64, np.float64, np.complex128))
+    run_block.argtypes = ([ctypes.c_int64] * 4
+                          + [i64, i64, f64, f64, c128, f64, f64, i64, c128, f64, f64, i64,
+                             c128, f64, c128,
+                             ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p),
+                             ctypes.c_void_p])
+    run_block.restype = None
+    return run_block
+
+
+def _run_block(b, rng, recs, tables, z, steps):
     """Run the step loop on the block slice b of the sorted records, drawing
     from rng, and write each record's overlap <psi0|psi> into z[b].
 
     The state and work buffers are allocated here at the block's size, so
     concurrent calls share only read-only inputs and write disjoint rows of
     z; a worker that finishes its block takes the next one not yet started.
+    With the kernel `steps` the buffers are psi (16 B per amplitude), the 2m
+    uniforms of a step and one gather row, and the call releases the GIL
+    while it runs, holding the generator's lock.  With steps None the numpy
+    loop below runs, the reference the kernel is tested against.
     """
     gid_b, r_b, sign_b, cos_b, isin_b, q0_b = (a[b] for a in recs)
     psi0, psi0_conj, cum_term, g_tab, f_tab, q_cum, thetas, orders = tables
     n_orders, dim, blk = len(orders), psi0.size, r_b.size
     psi = np.empty((blk, dim), dtype=complex)
+    psi[:] = psi0
+    if steps is not None:
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            steps(blk, dim, cum_term.size, n_orders, r_b, gid_b, sign_b, cos_b, isin_b,
+                  q0_b, cum_term, g_tab, f_tab, q_cum, thetas, orders, psi,
+                  np.empty(2 * blk), np.empty(dim, dtype=complex),
+                  bitgen.ctypes.next_double, bitgen.ctypes.state_address)
+        z[b] = psi @ psi0_conj
+        return
     flat, row_base = psi.reshape(-1), (np.arange(blk) * dim)[:, None]
     idx_buf = np.empty((blk, dim), dtype=np.int64)
     phase_buf, gath_buf = np.empty((2, blk, dim), dtype=complex)
-    psi[:] = psi0
     done = 0
     for r_end in np.unique(r_b):  # ascending; the live prefix shrinks after each
         m = int(np.searchsorted(-r_b, -r_end, side="right"))

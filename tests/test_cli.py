@@ -140,6 +140,20 @@ class TestEstimateCdf:
         assert out.out == "" and calls == []
 
 
+    def test_threshold_list_that_starts_negative_runs_in_equals_form(self, ham_z, capsys,
+                                                                       monkeypatch):
+        assert run(["estimate-cdf", "--ham", ham_z, "--state", "basis:0", "--Delta", "0.2",
+                    "--eta", "1", "--eps", "0.2", "--theta", "0.05", "--x=-0.2,0.1",
+                    "--seed", "4"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line and not line.startswith("#")]
+        assert rows[0] == "x,re,im" and [r.split(",")[0] for r in rows[1:]] == ["-0.2", "0.1"]
+        monkeypatch.setenv("COLUMNS", "200")  # one help line, so no wrap splits the example
+        with pytest.raises(SystemExit) as info:
+            run(["estimate-cdf", "--help"])
+        assert info.value.code == 0 and "--x=-0.2,0.1" in capsys.readouterr().out
+
+
 class TestGroundEnergy:
     def test_z_estimate(self, ham_z, tmp_path):
         out = tmp_path / "res.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import shutil
 import sys
 import threading
 import tracemalloc
@@ -58,6 +59,18 @@ def multi_block_case(monkeypatch):
     budget_for_fifths(monkeypatch, plan, s)
     assert block_count(plan, s) >= 5
     return plan, s
+
+
+@pytest.fixture
+def numpy_loop(monkeypatch):
+    """Run collect_samples on the numpy loop, as where no C compiler is found."""
+    monkeypatch.setattr(estimator, "_steps", None)
+
+
+def records_and_state(plan, state, seed):
+    rng = derive_rng(seed)
+    rec = estimator.collect_samples(plan, state, rng)
+    return rec.js.tobytes() + rec.m.tobytes(), rng.bit_generator.state
 
 
 def budget_for_fifths(monkeypatch, plan, state):
@@ -238,8 +251,12 @@ class TestCollectSamples:
         class BlockFailed(Exception):
             pass
 
-        class FailingGenerator:
+        class FailingGenerator:  # fails on the numpy loop's draw and the kernel's
             def random(self, size=None):
+                raise BlockFailed
+
+            @property
+            def bit_generator(self):
                 raise BlockFailed
 
         spawn = estimator._block_rngs
@@ -309,6 +326,57 @@ class TestCollectSamples:
         n = len(rec.js)
         pos = int((rec.js > 0).sum())
         assert abs(pos - n / 2) <= 5 * math.sqrt(n / 4)
+
+
+@pytest.mark.usefixtures("numpy_loop")
+class TestNumpyLoopGoldens:
+    """The golden streams again, unedited, on the numpy loop."""
+
+    test_seeded_stream_golden = TestCollectSamples.test_seeded_stream_golden
+    test_multi_block_stream_golden = TestCollectSamples.test_multi_block_stream_golden
+    test_multi_block_stream_independent_of_cpu_count = \
+        TestCollectSamples.test_multi_block_stream_independent_of_cpu_count
+
+
+class TestStepKernel:
+    def test_kernel_built_exactly_when_cc_is_on_path(self):
+        # a broken build fails here rather than falling back silently
+        assert (estimator._kernel() is not None) == (shutil.which("cc") is not None)
+
+    @pytest.mark.parametrize("cc", [None, "exit 1"])
+    def test_no_kernel_without_a_working_compiler(self, monkeypatch, tmp_path, cc):
+        if cc is not None:
+            fake = tmp_path / "cc"
+            fake.write_text(f"#!/bin/sh\n{cc}\n")
+            fake.chmod(0o755)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert estimator._build_kernel() is None
+
+    def test_gated_plan_same_records_and_generator_state_on_both_paths(self, monkeypatch):
+        h = random_hamiltonian(3, 6, seed=63)
+        s = backend.prepare_state("groundmix:0.6", h)
+        total = small_plan(h)
+        g = 1.5 * rq.runtime.gate_floor(total.weights, total.times)
+        plan = estimator.build_plan(h, 0.3 * h.lam, 0.8, 0.2, 0.05, rmode="gated", g=g)
+        # expected higher-order segments over the call: hundreds of rows
+        p = plan.weights * plan.mu
+        q0 = np.array([rq.segment_distribution(float(t), int(r), plan.M).cum_probs[0]
+                       for t, r in zip(plan.times, plan.rvec)])
+        higher = plan.complexities.c_sample * float(p @ (plan.rvec * (1 - q0)) / p.sum())
+        assert higher > 200, higher
+        kernel = records_and_state(plan, s, 17)
+        monkeypatch.setattr(estimator, "_steps", None)
+        assert records_and_state(plan, s, 17) == kernel
+
+    def test_ten_qubit_multi_block_plan_same_records_and_generator_state_on_both_paths(
+            self, monkeypatch):
+        h = random_hamiltonian(10, 40, seed=1010)
+        s = backend.prepare_state("basis:0110100101")
+        plan = estimator.build_plan(h, 0.3 * h.lam, 0.8, 0.2, 0.05)
+        assert block_count(plan, s) >= 2
+        kernel = records_and_state(plan, s, 19)
+        monkeypatch.setattr(estimator, "_steps", None)
+        assert records_and_state(plan, s, 19) == kernel
 
 
 class TestAcdf:
