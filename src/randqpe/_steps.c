@@ -2,10 +2,25 @@
  *
  * estimator._kernel compiles this file at the first collect_samples call,
  * and estimator._run_block calls run_block through ctypes, once per block.
- * Every value is computed in the numpy loop's order: the uniforms come
- * from the generator's own next_double, a complex product is spelled
- * (ar br - ai bi, ar bi + ai br) as numpy spells it, and a real factor c
- * enters as the complex (c, 0).  Build with -ffp-contract=off and without
+ * The uniforms come from the generator's own next_double, in the numpy
+ * loop's order.  The records' states psi are updated in place; the only
+ * other buffer is u, the 2m uniforms of a step.
+ *
+ * Each factor is a signed Pauli: (P v)[a] = f[a] v[a ^ x], and one term's
+ * phase f is +-1 at every amplitude or +-i at every amplitude, so one of
+ * its parts is an exact zero (pauli._index_action).  The numpy loop forms
+ * cos(th) v + (i sin th) (f v[a ^ x]) with full complex products, where a
+ * real cos enters as (c, 0) and the real part of i sin th is a signed zero.
+ * Here only the products that can be nonzero are kept, pair (a, a ^ x) by
+ * pair in place:
+ *   f = +-1:  v[a] <- c v[a] + s f[a] (-Im, Re) v[a ^ x]
+ *   f = +-i:  v[a] <- c v[a] - s Im f[a] v[a ^ x]
+ * Every dropped product is a signed zero, and every kept one differs from
+ * numpy's only by an exact sign flip (a factor +-1).  So each nonzero value
+ * has numpy's bits and a zero may differ in sign.  Under +, - and * the
+ * sign of a zero never reaches a nonzero value, and the Hadamard test
+ * u < (1 + z) / 2 reads +0 and -0 alike, so the records and the generator
+ * state are the numpy loop's.  Build with -ffp-contract=off and without
  * fast-math, so no product is fused into an add.
  */
 #include <math.h>
@@ -27,34 +42,63 @@ static int64_t search(const double *cum, int64_t n, double u)
     return lo < n ? lo : n - 1;
 }
 
-/* vec = (c, 0) vec + (sr, si) (f vec[g]), the gather taken first into row */
-static void rotate(double *vec, int64_t dim, const int64_t *g, const double *f,
-                   double c, double sr, double si, double *row)
+/* The loops below visit each pair (a, b = a ^ x) once: a runs over the
+ * indices whose bit x & -x is clear.  With x = 0 they visit every a with
+ * b = a and write the same value twice. */
+
+/* v = c v + (i s) P v, where (P v)[a] = f[a] v[a ^ x] */
+static void rotate(double *v, int64_t dim, int64_t x, const double *f, double c, double s)
 {
-    for (int64_t a = 0; a < dim; a++) {
-        double br = vec[2 * g[a]], bi = vec[2 * g[a] + 1];
-        row[2 * a] = f[2 * a] * br - f[2 * a + 1] * bi;
-        row[2 * a + 1] = f[2 * a] * bi + f[2 * a + 1] * br;
-    }
-    for (int64_t a = 0; a < dim; a++) {
-        double tr = row[2 * a], ti = row[2 * a + 1];
-        double vr = vec[2 * a], vi = vec[2 * a + 1];
-        vec[2 * a] = (c * vr - 0.0 * vi) + (sr * tr - si * ti);
-        vec[2 * a + 1] = (c * vi + 0.0 * vr) + (sr * ti + si * tr);
+    int64_t half = x ? x & -x : dim;
+    if (f[0] != 0.0) {
+        for (int64_t base = 0; base < dim; base += 2 * half)
+            for (int64_t a = base; a < base + half; a++) {
+                int64_t b = a ^ x;
+                double ar = v[2 * a], ai = v[2 * a + 1], br = v[2 * b], bi = v[2 * b + 1];
+                double ka = s * f[2 * a], kb = s * f[2 * b];
+                v[2 * a] = c * ar - ka * bi;
+                v[2 * a + 1] = c * ai + ka * br;
+                v[2 * b] = c * br - kb * ai;
+                v[2 * b + 1] = c * bi + kb * ar;
+            }
+    } else {
+        for (int64_t base = 0; base < dim; base += 2 * half)
+            for (int64_t a = base; a < base + half; a++) {
+                int64_t b = a ^ x;
+                double ar = v[2 * a], ai = v[2 * a + 1], br = v[2 * b], bi = v[2 * b + 1];
+                double ka = s * f[2 * a + 1], kb = s * f[2 * b + 1];
+                v[2 * a] = c * ar - ka * br;
+                v[2 * a + 1] = c * ai - ka * bi;
+                v[2 * b] = c * br - kb * ar;
+                v[2 * b + 1] = c * bi - kb * ai;
+            }
     }
 }
 
-/* vec = f vec[g] */
-static void apply(double *vec, int64_t dim, const int64_t *g, const double *f, double *row)
+/* v = P v */
+static void apply(double *v, int64_t dim, int64_t x, const double *f)
 {
-    for (int64_t a = 0; a < dim; a++) {
-        row[2 * a] = vec[2 * g[a]];
-        row[2 * a + 1] = vec[2 * g[a] + 1];
-    }
-    for (int64_t a = 0; a < dim; a++) {
-        double br = row[2 * a], bi = row[2 * a + 1];
-        vec[2 * a] = f[2 * a] * br - f[2 * a + 1] * bi;
-        vec[2 * a + 1] = f[2 * a] * bi + f[2 * a + 1] * br;
+    int64_t half = x ? x & -x : dim;
+    if (f[0] != 0.0) {
+        for (int64_t base = 0; base < dim; base += 2 * half)
+            for (int64_t a = base; a < base + half; a++) {
+                int64_t b = a ^ x;
+                double ar = v[2 * a], ai = v[2 * a + 1], br = v[2 * b], bi = v[2 * b + 1];
+                v[2 * a] = f[2 * a] * br;
+                v[2 * a + 1] = f[2 * a] * bi;
+                v[2 * b] = f[2 * b] * ar;
+                v[2 * b + 1] = f[2 * b] * ai;
+            }
+    } else {
+        for (int64_t base = 0; base < dim; base += 2 * half)
+            for (int64_t a = base; a < base + half; a++) {
+                int64_t b = a ^ x;
+                double ar = v[2 * a], ai = v[2 * a + 1], br = v[2 * b], bi = v[2 * b + 1];
+                v[2 * a] = -(f[2 * a + 1] * bi);
+                v[2 * a + 1] = f[2 * a + 1] * br;
+                v[2 * b] = -(f[2 * b + 1] * ai);
+                v[2 * b + 1] = f[2 * b + 1] * ar;
+            }
     }
 }
 
@@ -65,10 +109,9 @@ static void apply(double *vec, int64_t dim, const int64_t *g, const double *f, d
 void run_block(int64_t blk, int64_t dim, int64_t n_terms, int64_t n_orders,
                const int64_t *r, const int64_t *gid, const double *sign,
                const double *cos0, const double *isin0, const double *q0,
-               const double *cum_term, const int64_t *g_tab, const double *f_tab,
+               const double *cum_term, const int64_t *x_tab, const double *f_tab,
                const double *q_cum, const double *thetas, const int64_t *orders,
-               double *psi, double *u, double *row,
-               next_double_fn next_double, void *state)
+               double *psi, double *u, next_double_fn next_double, void *state)
 {
     int64_t m = blk;
     for (int64_t step = 0;; step++) {
@@ -82,8 +125,8 @@ void run_block(int64_t blk, int64_t dim, int64_t n_terms, int64_t n_orders,
             if (u[i] > q0[i])
                 continue;
             int64_t el = search(cum_term, n_terms, u[m + i]);
-            rotate(psi + 2 * i * dim, dim, g_tab + el * dim, f_tab + 2 * el * dim,
-                   cos0[i], isin0[2 * i], isin0[2 * i + 1], row);
+            rotate(psi + 2 * i * dim, dim, x_tab[el], f_tab + 2 * el * dim,
+                   cos0[i], isin0[2 * i + 1]);
         }
         for (int64_t i = 0; i < m; i++) {
             if (!(u[i] > q0[i]))
@@ -94,15 +137,12 @@ void run_block(int64_t blk, int64_t dim, int64_t n_terms, int64_t n_orders,
                 below += u[i] <= q[k];
             int64_t ni = n_orders - 1 - below, n = orders[ni];
             double th = thetas[gid[i] * n_orders + ni] * sign[i];
-            double s = sin(th);
-            /* Python's 1j * s: (0 s - 0 1, 0 0 + 1 s) */
-            double sr = 0.0 * s - 0.0, si = 0.0 * 0.0 + s;
             double *vec = psi + 2 * i * dim;
             int64_t el = search(cum_term, n_terms, u[m + i]);
-            rotate(vec, dim, g_tab + el * dim, f_tab + 2 * el * dim, cos(th), sr, si, row);
+            rotate(vec, dim, x_tab[el], f_tab + 2 * el * dim, cos(th), sin(th));
             for (int64_t k = 0; k < n; k++) {
                 el = search(cum_term, n_terms, next_double(state));
-                apply(vec, dim, g_tab + el * dim, f_tab + 2 * el * dim, row);
+                apply(vec, dim, x_tab[el], f_tab + 2 * el * dim);
             }
             if (n % 4 != 0)
                 for (int64_t a = 0; a < 2 * dim; a++)

@@ -244,10 +244,16 @@ def _hadamard_outcomes(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return m_re + 1j * m_im
 
 
+def check_widths(h: Hamiltonian, state: StateVector):
+    """Reject a state whose width differs from the Hamiltonian's."""
+    if h.width != state.width:
+        raise ValueError(f"Hamiltonian and state widths differ ({h.width} and "
+                         f"{state.width} qubits)")
+
+
 def exact_spectrum(h: Hamiltonian, state: StateVector) -> SpectralData:
     """Dense eigendecomposition with degenerate groups merged at 1e-9 * lambda."""
-    if h.width != state.width:
-        raise ValueError("Hamiltonian and state widths differ")
+    check_widths(h, state)
     _check_width(h.width)
     evals, evecs = np.linalg.eigh(h.matrix())
     w = np.abs(evecs.conj().T @ state.amplitudes) ** 2

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import estimator, lcu, resources
 from ._rng import derive_rng
-from .backend import prepare_state
+from .backend import check_widths, prepare_state
 from .heaviside import build_fourier, certification_report, optimize_split
 from .pauli import parse_hamiltonian
 from .runtime import FeasibilityError
@@ -86,15 +86,13 @@ def _cmd_fourier(args) -> int:
     return 0
 
 
-def _build_plan_from_args(args):
-    h = parse_hamiltonian(Path(args.ham).read_text())
-    plan = estimator.build_plan(h, args.Delta, args.eta, args.eps, args.theta,
+def _plan_from_args(h, args):
+    return estimator.build_plan(h, args.Delta, args.eta, args.eps, args.theta,
                                 b=args.b, rmode=args.rmode, g=args.g)
-    return h, plan
 
 
 def _cmd_plan(args) -> int:
-    _, plan = _build_plan_from_args(args)
+    plan = _plan_from_args(parse_hamiltonian(Path(args.ham).read_text()), args)
     _write(json.dumps(_plan_dict(plan), indent=2) + "\n", args.out)
     return 0
 
@@ -118,10 +116,12 @@ def _cmd_estimate_cdf(args) -> int:
     xs = [float(v) for v in args.x.split(",") if v]
     if not xs:
         raise ValueError(f"--x needs at least one value, got {args.x!r}")
-    h, plan = _build_plan_from_args(args)
+    h = parse_hamiltonian(Path(args.ham).read_text())
+    state = prepare_state(args.state, h)
+    check_widths(h, state)  # before the filter, which a wrong width would waste
+    plan = _plan_from_args(h, args)
     for x in xs:  # before sampling, which a threshold outside the window would waste
         estimator._check_x(plan, x)
-    state = prepare_state(args.state, h)
     rng = derive_rng(args.seed)
     samples = estimator.collect_samples(plan, state, rng)
     lines = [f"# seed = {args.seed}",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import runtime
-from .backend import StateVector, _hadamard_outcomes, exact_spectrum
+from .backend import StateVector, _hadamard_outcomes, check_widths, exact_spectrum
 from .heaviside import FourierSeries, build_fourier, eval_fourier, optimize_split
 from .lcu import segment_distribution, truncation_order
 from .pauli import Hamiltonian, index_action
@@ -40,6 +40,9 @@ _BLOCK_BYTES = 8 << 20
 _UNBUILT = object()
 _steps = _UNBUILT
 _steps_lock = threading.Lock()
+# -fno-builtin keeps sin and cos the libm calls math.sin and math.cos make
+# (gcc would merge them into one sincos); no fast-math, no fused products
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 
 
 @dataclass(frozen=True)
@@ -188,11 +191,15 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     each with its extra term draws in row order.
 
     The steps of a block run in the C kernel _steps.c, which the first call
-    of a process compiles with `cc` from PATH and loads with ctypes; it
-    draws from the generator's own next_double and computes every value in
-    the numpy loop's order, so both give the same records and leave the
-    generator in the same state.  Where no compiler is found or the build
-    fails, the numpy loop in _run_block runs instead.
+    of a process compiles with `cc` from PATH and loads with ctypes.  It
+    draws from the generator's own next_double in the numpy loop's order and
+    rotates each pair of amplitudes (a, a ^ x) of a Pauli term in place,
+    keeping only the products of its phase's nonzero part, +-1 or +-i.  Every
+    nonzero value it computes has the numpy loop's bits and only the sign
+    of an exact zero may differ, which no later sum, product or Hadamard
+    test can see; so both give the same records and leave the generator in
+    the same state.  Where no compiler is found or the build fails, the
+    numpy loop in _run_block runs instead.
 
     A call with c_sample * 2^n * 56 B <= _BLOCK_BYTES is one block, run
     inline on rng: it draws the stream of the unblocked loop.  A larger call
@@ -205,8 +212,7 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     the record stream is byte-identical across runs and releases (tests pin
     its digest); a change to it must be stated.
     """
-    if plan.h.width != state.width:
-        raise ValueError("plan and state widths differ")
+    check_widths(plan.h, state)
     n_rec = plan.complexities.c_sample
     dim = 1 << state.width
     psi0 = state.amplitudes
@@ -224,6 +230,7 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     f_tab = np.empty((len(dist), dim), dtype=complex)
     for i, (_, op) in enumerate(dist):
         g_tab[i], f_tab[i] = index_action(op)
+    x_tab = g_tab[:, 0].copy()  # g_tab[i][k] = k ^ x_i
 
     # per-group segment tables (orders share the truncation M)
     segs = [segment_distribution(float(t), int(r), plan.M)
@@ -242,7 +249,8 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     recs = (gid_s, r_s, rot_sign, np.cos(thetas[gid_s, 0]),
             1j * np.sin(thetas[gid_s, 0]) * rot_sign,
             q_cum[gid_s, 0])  # u <= q0: order 0 (cumulative columns are sorted)
-    tables = (psi0, psi0.conj(), cum_term, g_tab, f_tab, q_cum, thetas, segs[0].orders)
+    tables = (psi0, psi0.conj(), cum_term, x_tab, g_tab, f_tab, q_cum, thetas,
+              segs[0].orders)
 
     z = np.empty(n_rec, dtype=complex)
     steps = _kernel()
@@ -283,13 +291,10 @@ def _build_kernel():
     if cc is None:
         return None
     source = importlib.resources.files(__package__) / "_steps.c"
-    # -fno-builtin keeps sin and cos the libm calls math.sin and math.cos make
-    # (gcc would merge them into one sincos); no fast-math, no fused products
     with tempfile.TemporaryDirectory() as tmp, importlib.resources.as_file(source) as src:
         lib = os.path.join(tmp, "_steps.so")
         try:
-            subprocess.run([cc, "-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC",
-                            "-shared", "-o", lib, str(src), "-lm"],
+            subprocess.run([cc, *_CFLAGS, "-o", lib, str(src), "-lm"],
                            check=True, capture_output=True, timeout=120)
             run_block = ctypes.CDLL(lib).run_block
         except (OSError, subprocess.SubprocessError):
@@ -298,7 +303,7 @@ def _build_kernel():
                       for t in (np.int64, np.float64, np.complex128))
     run_block.argtypes = ([ctypes.c_int64] * 4
                           + [i64, i64, f64, f64, c128, f64, f64, i64, c128, f64, f64, i64,
-                             c128, f64, c128,
+                             c128, f64,
                              ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p),
                              ctypes.c_void_p])
     run_block.restype = None
@@ -312,13 +317,13 @@ def _run_block(b, rng, recs, tables, z, steps):
     The state and work buffers are allocated here at the block's size, so
     concurrent calls share only read-only inputs and write disjoint rows of
     z; a worker that finishes its block takes the next one not yet started.
-    With the kernel `steps` the buffers are psi (16 B per amplitude), the 2m
-    uniforms of a step and one gather row, and the call releases the GIL
-    while it runs, holding the generator's lock.  With steps None the numpy
-    loop below runs, the reference the kernel is tested against.
+    With the kernel `steps` the buffers are psi (16 B per amplitude), which
+    it updates in place, and the 2m uniforms of a step; the call releases
+    the GIL while it runs, holding the generator's lock.  With steps None
+    the numpy loop below runs, the reference the kernel is tested against.
     """
     gid_b, r_b, sign_b, cos_b, isin_b, q0_b = (a[b] for a in recs)
-    psi0, psi0_conj, cum_term, g_tab, f_tab, q_cum, thetas, orders = tables
+    psi0, psi0_conj, cum_term, x_tab, g_tab, f_tab, q_cum, thetas, orders = tables
     n_orders, dim, blk = len(orders), psi0.size, r_b.size
     psi = np.empty((blk, dim), dtype=complex)
     psi[:] = psi0
@@ -326,8 +331,7 @@ def _run_block(b, rng, recs, tables, z, steps):
         bitgen = rng.bit_generator
         with bitgen.lock:
             steps(blk, dim, cum_term.size, n_orders, r_b, gid_b, sign_b, cos_b, isin_b,
-                  q0_b, cum_term, g_tab, f_tab, q_cum, thetas, orders, psi,
-                  np.empty(2 * blk), np.empty(dim, dtype=complex),
+                  q0_b, cum_term, x_tab, f_tab, q_cum, thetas, orders, psi, np.empty(2 * blk),
                   bitgen.ctypes.next_double, bitgen.ctypes.state_address)
         z[b] = psi @ psi0_conj
         return
@@ -451,6 +455,7 @@ def ground_energy(h: Hamiltonian, state: StateVector, Delta: float, eta: float,
     """
     if not 0.0 < xi < 1.0:
         raise ValueError("xi must lie in (0, 1)")
+    check_widths(h, state)
     eps = _check_plan_args(h.lam, Delta, eta, eps, b, rmode, g)
     window = _window(h.lam, Delta, b, eps, delta_scale=0.5)
     tau, delta = window[:2]

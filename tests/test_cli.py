@@ -305,6 +305,26 @@ class TestInputErrorsExit2:
                     "--Delta", "0.1", "--eta", "1", "--xi", "0.1", "--seed", "1"]) == 2
         assert "width 13 exceeds cap 12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, opts", [
+        ("ground-energy", ["--xi", "0.1"]),
+        ("estimate-cdf", ["--eps", "0.2", "--theta", "0.05", "--x=0.1"]),
+    ])
+    def test_state_width_mismatch_exit_2_before_the_filter(self, ham_z, capsys, monkeypatch,
+                                                           cmd, opts):
+        calls, window = [], estimator._window
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return window(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "_window", recording)
+        # lambda = 1 and Delta = 1e-6: this filter takes seconds to build
+        assert run([cmd, "--ham", ham_z, "--state", "basis:01", "--Delta", "1e-6",
+                    "--eta", "1", *opts, "--seed", "1"]) == 2
+        out = capsys.readouterr()
+        assert "Hamiltonian and state widths differ (1 and 2 qubits)" in out.err
+        assert out.out == "" and calls == []
+
     def test_empty_amplitude_file(self, ham_z, tmp_path, capsys):
         amps = tmp_path / "amps.txt"
         amps.write_text("")

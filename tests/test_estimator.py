@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import math
@@ -377,6 +378,38 @@ class TestStepKernel:
         kernel = records_and_state(plan, s, 19)
         monkeypatch.setattr(estimator, "_steps", None)
         assert records_and_state(plan, s, 19) == kernel
+
+    @pytest.mark.parametrize("basis", ["000", "101", "110"])
+    def test_edge_operators_on_basis_states_same_bits_on_both_paths(self, monkeypatch, basis):
+        # identity and pure-Z terms (x = 0), Y-bearing terms (phase +-i) and
+        # negative signs, on a state with exact zeros
+        h = rq.parse_hamiltonian("0.3 III\n-0.5 ZIZ\n0.4 XYI\n-0.6 YYZ\n0.2 IZI\n"
+                                 "0.7 XIX\n-0.45 IYI")
+        s = backend.prepare_state("basis:" + basis)
+        plan = small_plan(h)
+        calls, run_block = [], estimator._run_block
+
+        def recording(b, rng, *args):
+            calls.append((b, copy.deepcopy(rng), *args))
+            return run_block(b, rng, *args)
+
+        monkeypatch.setattr(estimator, "_run_block", recording)
+        kernel = records_and_state(plan, s, 23)
+        (b, rng, recs, tables, z, steps), = calls
+        out = []
+        for path in (steps, None):
+            gen, z_path = copy.deepcopy(rng), np.empty_like(z)
+            run_block(b, gen, recs, tables, z_path, path)
+            out.append((z_path, gen.bit_generator.state))
+        (z_kernel, state_kernel), (z_numpy, state_numpy) = out
+        assert state_kernel == state_numpy
+        assert np.array_equal(z_kernel, z_numpy)  # elementwise: +0 == -0
+        for part_kernel, part_numpy in ((z_kernel.real, z_numpy.real),
+                                        (z_kernel.imag, z_numpy.imag)):
+            nonzero = part_numpy != 0
+            assert part_kernel[nonzero].tobytes() == part_numpy[nonzero].tobytes()
+        monkeypatch.setattr(estimator, "_steps", None)
+        assert records_and_state(plan, s, 23) == kernel
 
 
 class TestAcdf:

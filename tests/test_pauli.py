@@ -224,3 +224,47 @@ class TestIndexActionCache:
         info = _index_action.cache_info()
         assert info.misses == len(h.terms)
         assert info.hits >= len(h.terms)
+
+
+def assert_signed_pauli_form(x_bits, z_bits, width, sign):
+    """perm[k] = k ^ x, and the phase is +-1 at every amplitude or +-i at every one."""
+    perm, phase = _index_action(x_bits, z_bits, width, sign)
+    assert np.array_equal(perm, np.arange(1 << width) ^ perm[0])
+    for part in (phase.real, phase.imag):
+        assert np.isin(part, (0.0, 1.0, -1.0)).all()
+    real, imag = np.abs(phase.real) == 1, np.abs(phase.imag) == 1
+    assert (real.all() and (phase.imag == 0).all()) or (imag.all() and (phase.real == 0).all())
+
+
+class TestIndexActionForm:
+    """The step kernel _steps.c keeps only the nonzero part of each phase."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_every_signed_pauli(self, width):
+        for x_bits in range(1 << width):
+            for z_bits in range(1 << width):
+                for sign in (1, -1):
+                    assert_signed_pauli_form(x_bits, z_bits, width, sign)
+
+    def test_random_paulis_up_to_the_cap(self):
+        gen = np.random.default_rng(2021)
+        for width in range(5, DENSE_QUBIT_CAP + 1):
+            for _ in range(4):
+                x_bits, z_bits = (int(v) for v in gen.integers(1 << width, size=2))
+                assert_signed_pauli_form(x_bits, z_bits, width, int(gen.choice((1, -1))))
+
+    def test_collect_samples_rotation_phase_is_imaginary(self, monkeypatch):
+        seen, run_block = [], estimator._run_block
+
+        def recording(b, rng, recs, *args):
+            seen.append(recs[4][b])
+            return run_block(b, rng, recs, *args)
+
+        monkeypatch.setattr(estimator, "_run_block", recording)
+        h = random_hamiltonian(3, 6, seed=5)
+        plan = estimator.build_plan(h, 0.3 * h.lam, 0.8, 0.2, 0.05)
+        estimator.collect_samples(plan, backend.prepare_state("groundmix:0.6", h),
+                                  derive_rng(5))
+        isin0 = np.concatenate(seen)
+        assert isin0.size == plan.complexities.c_sample
+        assert (isin0.real == 0).all() and (isin0.imag != 0).all()
