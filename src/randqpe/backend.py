@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .lcu import LcuUnitary, PauliOp, PauliRotation, Phase
-from .pauli import Hamiltonian, _check_width, index_action
+from .pauli import Hamiltonian, _check_width, index_action, phase_rows
 
 # fixed stream for the deterministic pseudo-random orthogonal component
 _GROUNDMIX_SEED = 0x5EED_CAFE_F00D
@@ -122,7 +122,8 @@ def prepare_state(spec: str, h: Hamiltonian | None = None) -> StateVector:
         if all(op.pauli.x_bits == 0 for _, op in h.terms):
             # I/Z terms only: H is diagonal, and the basis states of its
             # smallest entries span the ground space
-            diag = sum(c * index_action(op)[1].real for c, op in h.terms)
+            _, rows = phase_rows([op for _, op in h.terms])
+            diag = sum(c * row.real for (c, _), row in zip(h.terms, rows))
             ground = diag <= diag.min() + tol
             n_ground = int(ground.sum())
         else:

@@ -10,6 +10,7 @@ single quantum data set.
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib.resources
 import math
 import os
@@ -26,7 +27,7 @@ from . import runtime
 from .backend import StateVector, _hadamard_outcomes, check_widths, exact_spectrum
 from .heaviside import FourierSeries, build_fourier, eval_fourier, optimize_split
 from .lcu import segment_distribution, truncation_order
-from .pauli import Hamiltonian, index_action
+from .pauli import Hamiltonian, phase_rows
 from .runtime import _usable_cpus
 
 # Per amplitude a record's state (complex), index (int64), phase and gather
@@ -107,6 +108,11 @@ class SampleSet:
     def __post_init__(self):
         self.js.flags.writeable = False
         self.m.flags.writeable = False
+
+    @functools.cached_property
+    def _index_groups(self):
+        """(distinct signed indices, each record's position among them)."""
+        return np.unique(self.js, return_inverse=True)
 
 
 def _check_window_args(lam: float, Delta: float, b: float):
@@ -222,15 +228,12 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     gid = rng.choice(len(pj), size=n_rec, p=pj)
     neg = rng.random(n_rec) < 0.5  # True: index -j (time +j tau lambda)
 
-    # per-term index action tables
+    # per-term index action tables, built for this call and dropped with it
     dist = plan.h.normalized_distribution()
     cum_term = np.cumsum([p for p, _ in dist])
     cum_term[-1] = 1.0
-    g_tab = np.empty((len(dist), dim), dtype=np.int64)
-    f_tab = np.empty((len(dist), dim), dtype=complex)
-    for i, (_, op) in enumerate(dist):
-        g_tab[i], f_tab[i] = index_action(op)
-    x_tab = g_tab[:, 0].copy()  # g_tab[i][k] = k ^ x_i
+    x_tab, f_tab = phase_rows([op for _, op in dist])
+    g_tab = np.arange(dim) ^ x_tab[:, None]  # g_tab[i][k] = k ^ x_i
 
     # per-group segment tables (orders share the truncation M)
     segs = [segment_distribution(float(t), int(r), plan.M)
@@ -391,8 +394,10 @@ def acdf_estimate(samples: SampleSet, x: float) -> complex:
     _check_x(plan, x)
     if samples.js.size == 0:
         raise ValueError("empty sample set")
-    sgn = np.sign(samples.js)
-    phase = (-1j * sgn) * np.exp(1j * samples.js * x)
+    # each distinct index's phase, gathered per record: the same bits as the
+    # per-record (-1j sgn j) exp(1j j x), for O(distinct j) exponentials
+    js, inv = samples._index_groups
+    phase = ((-1j * np.sign(js)) * np.exp(1j * js * x))[inv]
     a = plan.complexities.weight_A
     return complex(0.5 + a * np.mean(phase * samples.m))
 

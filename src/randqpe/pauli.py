@@ -141,7 +141,38 @@ def pauli_multiply(a: SignedPauli, b: SignedPauli):
     return _QUARTER[power % 4], prod
 
 
-# perm and phase take 24 B per amplitude: at most 64 MiB of 12-qubit tables
+_SIGNS = np.array([1.0, -1.0])
+
+
+def phase_rows(ops):
+    """x masks and phase rows of signed Paulis of one width, in one numpy pass.
+
+    Returns (x, rows), x an int64 array of the x_bits and rows an (L, 2^n)
+    complex array, such that (P_l psi)[k] = rows[l, k] * psi[k ^ x[l]].  Row l
+    is sign_l i^(popcount(x_l & z_l) mod 4) (-1)^parity((k ^ x_l) & z_l), with
+    the parity folded by XOR shifts.  Nothing is kept: each caller builds the
+    tables of its own terms and drops them with its call.
+    """
+    width = ops[0].width
+    if any(op.width != width for op in ops):
+        raise ValueError("inconsistent term widths")
+    x = np.array([op.pauli.x_bits for op in ops], dtype=np.int64)
+    c = np.array([op.sign * (1j ** (bin(op.pauli.x_bits & op.pauli.z_bits).count("1") % 4))
+                  for op in ops], dtype=complex)
+    dtype = np.min_scalar_type((1 << width) - 1)
+    par = np.arange(1 << width, dtype=dtype) ^ x.astype(dtype)[:, None]
+    par &= np.array([op.pauli.z_bits for op in ops], dtype=dtype)[:, None]
+    shift = 1 << (width - 1).bit_length()
+    while shift > 1:
+        shift >>= 1
+        par ^= par >> shift
+    par &= 1
+    return x, c[:, None] * _SIGNS[par]
+
+
+# perm and phase take 24 B per amplitude: at most 64 MiB of 12-qubit tables.
+# Only apply_unitary (through index_action) and PauliString.matrix use the
+# cache; the Hamiltonian and sampler tables are built per call by phase_rows.
 @functools.lru_cache(maxsize=(64 << 20) // (24 << DENSE_QUBIT_CAP))
 def _index_action(x_bits: int, z_bits: int, width: int, sign: int):
     """Index-space action of a signed Pauli: P|i> = phase(i) |i XOR x_bits>.
@@ -149,16 +180,8 @@ def _index_action(x_bits: int, z_bits: int, width: int, sign: int):
     Returns (perm, row_phase) such that (P psi)[k] = row_phase[k] * psi[perm[k]],
     i.e. row_phase[k] = phase(k XOR x_bits) and perm[k] = k XOR x_bits.
     """
-    dim = 1 << width
-    idx = np.arange(dim)
-    perm = idx ^ x_bits
-    par = np.zeros(dim, dtype=np.int64)
-    for q in range(width):
-        if (z_bits >> q) & 1:
-            par += (perm >> q) & 1
-    n_y = bin(x_bits & z_bits).count("1")
-    phase = sign * (1j ** (n_y % 4)) * np.where(par % 2 == 0, 1.0, -1.0)
-    phase = phase.astype(complex)
+    perm = np.arange(1 << width) ^ x_bits
+    _, (phase,) = phase_rows([SignedPauli(PauliString(x_bits, z_bits, width), sign)])
     perm.flags.writeable = False
     phase.flags.writeable = False
     return perm, phase
@@ -205,23 +228,21 @@ class Hamiltonian:
         return self.sparse().toarray()
 
     def sparse(self) -> scipy.sparse.csr_array:
-        """The matrix in CSR form, built from the cached index_action tables.
+        """The matrix in CSR form, built from phase_rows tables made for this call.
 
         Terms with the same x_bits share one permutation, so their entries are
         summed in term order: each row stores one entry per distinct x_bits.
         """
         _check_width(self.width)
         dim = 1 << self.width
-        cols, vals = {}, {}
-        for w, op in self.terms:
-            perm, phase = index_action(op)
-            x = op.pauli.x_bits
-            cols[x] = perm
-            vals[x] = vals[x] + w * phase if x in vals else w * phase
-        n = len(cols)
+        x_tab, rows = phase_rows([op for _, op in self.terms])
+        vals = {}
+        for (w, _), x, row in zip(self.terms, x_tab.tolist(), rows):
+            vals[x] = vals[x] + w * row if x in vals else w * row
+        n = len(vals)
+        cols = np.arange(dim)[:, None] ^ np.array(list(vals), dtype=np.int64)
         return scipy.sparse.csr_array(
-            (np.column_stack(list(vals.values())).ravel(),
-             np.column_stack(list(cols.values())).ravel(),
+            (np.column_stack(list(vals.values())).ravel(), cols.ravel(),
              np.arange(0, n * dim + 1, n)), shape=(dim, dim))
 
     def serialize(self) -> str:

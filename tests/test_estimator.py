@@ -297,9 +297,9 @@ class TestCollectSamples:
 
     def test_peak_memory_bounded_in_c_sample(self):
         # At 10 qubits one record's state and work buffers take 56 KiB; the
-        # peak must stay within the block budget plus the term tables (a
-        # stacked copy and the cached per-term actions) plus O(n_rec), and
-        # must not grow with c_sample.
+        # peak must stay within the block budget plus the term tables (the
+        # call's tables and the temporaries that build them) plus O(n_rec),
+        # and must not grow with c_sample.
         h = random_hamiltonian(10, 40, seed=1010)
         s = backend.prepare_state("basis:0110100101")
         plans = [estimator.build_plan(h, 0.3 * h.lam, 0.8, 0.2, theta)
@@ -441,6 +441,35 @@ class TestAcdf:
         for mc, x in zip(acc, xs):
             exact = estimator.acdf_exact(plan, h, s, float(x))
             assert abs(mc - exact) <= 4 * se + plan.gamma
+
+    def test_rephasing_same_bits_as_per_record_formula(self, monkeypatch):
+        def per_record(samples, x):
+            phase = (-1j * np.sign(samples.js)) * np.exp(1j * samples.js * x)
+            a = samples.plan.complexities.weight_A
+            return complex(0.5 + a * np.mean(phase * samples.m))
+
+        queries, acdf_estimate = [], estimator.acdf_estimate
+
+        def checked(samples, x):
+            z = acdf_estimate(samples, x)
+            assert np.array(z).tobytes() == np.array(per_record(samples, x)).tobytes(), x
+            queries.append(x)
+            return z
+
+        for seed, width, terms, rmode in ((57, 2, 3, "total"), (59, 3, 6, "constant"),
+                                          (61, 4, 8, "total")):
+            h = random_hamiltonian(width, terms, seed=seed)
+            s = backend.prepare_state("groundmix:0.6", h)
+            plan = small_plan(h, eta=0.6, rmode=rmode)
+            rec = estimator.collect_samples(plan, s, derive_rng(seed))
+            for x in np.linspace(-plan.x_max, plan.x_max, 61):
+                checked(rec, float(x))
+        monkeypatch.setattr(estimator, "acdf_estimate", checked)
+        h = random_hamiltonian(3, 5, seed=63)
+        before = len(queries)
+        res = estimator.ground_energy(h, backend.prepare_state("groundmix:0.6", h),
+                                      0.1 * h.lam, 0.6, 0.1, derive_rng(63))
+        assert len(queries) - before == res.queries_used > 0
 
     def test_exact_symmetric_midpoint(self):
         # symmetric spectrum + symmetric ansatz: exact ACDF at 0 is 1/2

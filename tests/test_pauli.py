@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import random_hamiltonian
 from randqpe import backend, estimator
 from randqpe._rng import derive_rng
 from randqpe.pauli import (DENSE_QUBIT_CAP, Hamiltonian, PauliString, SignedPauli,
-                           _index_action, parse_hamiltonian, pauli_multiply)
+                           _index_action, index_action, parse_hamiltonian, pauli_multiply,
+                           phase_rows)
 
 _MATS = {
     "I": np.eye(2, dtype=complex),
@@ -213,17 +215,94 @@ class TestIndexActionCache:
         entry = perm.nbytes + phase.nbytes
         assert _index_action.cache_info().maxsize * entry <= 64 << 20
 
-    def test_task_reuses_its_tables(self):
-        # an estimate-cdf-sized task: the sparse operator for the state, then the
-        # sampler's tables for the same terms
-        h = random_hamiltonian(10, 40, seed=7)
+    def test_tasks_keep_no_tables(self):
+        # estimate-cdf-sized tasks on distinct Hamiltonians: the sparse operator
+        # for the state, then the sampler's tables.  Each task builds its
+        # tables and drops them; a cache of 40 terms' (perm, phase) tables per
+        # task would keep about 0.94 MiB more after every task.
+        def task(seed):
+            h = random_hamiltonian(10, 40, seed=seed)
+            state = backend.prepare_state("groundmix:0.6", h)
+            plan = estimator.build_plan(h, 0.25 * h.lam, 0.6, 0.2, 0.05)
+            estimator.collect_samples(plan, state, derive_rng(3))
+
         _index_action.cache_clear()
-        state = backend.prepare_state("groundmix:0.6", h)
-        plan = estimator.build_plan(h, 0.25 * h.lam, 0.6, 0.2, 0.05)
-        estimator.collect_samples(plan, state, derive_rng(3))
-        info = _index_action.cache_info()
-        assert info.misses == len(h.terms)
-        assert info.hits >= len(h.terms)
+        tracemalloc.start()
+        try:
+            task(700)
+            after_one = tracemalloc.get_traced_memory()[0]
+            for seed in range(701, 705):
+                task(seed)
+            grown = tracemalloc.get_traced_memory()[0] - after_one
+        finally:
+            tracemalloc.stop()
+        assert grown < 0.5 * (1 << 20), grown
+
+
+def loop_phase_row(x_bits, z_bits, width, sign):
+    """The phase row by a per-qubit parity loop, the reference for phase_rows."""
+    perm = np.arange(1 << width) ^ x_bits
+    par = np.zeros(1 << width, dtype=np.int64)
+    for q in range(width):
+        if (z_bits >> q) & 1:
+            par += (perm >> q) & 1
+    n_y = bin(x_bits & z_bits).count("1")
+    return (sign * (1j ** (n_y % 4)) * np.where(par % 2 == 0, 1.0, -1.0)).astype(complex)
+
+
+def assert_rows_same_bits(masks, width):
+    """phase_rows over all masks at once: every row, signed zeros included, is
+    the loop's row and _index_action's row, compared as uint64."""
+    ops = [SignedPauli(PauliString(x, z, width), sign) for x, z, sign in masks]
+    x_tab, rows = phase_rows(ops)
+    assert x_tab.dtype == np.int64 and x_tab.tolist() == [x for x, _, _ in masks]
+    assert rows.dtype == complex and rows.shape == (len(ops), 1 << width)
+    for (x, z, sign), row in zip(masks, rows):
+        expected = loop_phase_row(x, z, width, sign).view(np.uint64)
+        assert np.array_equal(row.view(np.uint64), expected)
+        assert np.array_equal(_index_action(x, z, width, sign)[1].view(np.uint64), expected)
+
+
+class TestPhaseRows:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_every_signed_pauli_same_bits(self, width):
+        assert_rows_same_bits([(x, z, sign) for x in range(1 << width)
+                               for z in range(1 << width) for sign in (1, -1)], width)
+
+    def test_random_paulis_up_to_the_cap_same_bits(self):
+        gen = np.random.default_rng(1729)
+        for width in range(5, DENSE_QUBIT_CAP + 1):
+            masks = [(*(int(v) for v in gen.integers(1 << width, size=2)),
+                      int(gen.choice((1, -1)))) for _ in range(20)]
+            assert_rows_same_bits(masks, width)
+
+    def test_mixed_widths_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent term widths"):
+            phase_rows([SignedPauli.from_word("XZ"), SignedPauli.from_word("XZY")])
+
+    @pytest.mark.parametrize("h", [
+        parse_hamiltonian("0.5 XZ\n-0.3 XI\n0.2 YY\n0.7 ZZ\n0.1 IZ"),
+        parse_hamiltonian("1.0 XII\n-1.0 XII\n0.4 ZZI"),
+        random_hamiltonian(6, 30, seed=8),
+        random_hamiltonian(10, 40, seed=9, idle=3),
+    ], ids=["shared-x", "cancelling", "6q", "10q-idle"])
+    def test_sparse_same_bytes_as_index_action_reference(self, h):
+        dim = 1 << h.width
+        cols, vals = {}, {}
+        for w, op in h.terms:
+            perm, phase = index_action(op)
+            x = op.pauli.x_bits
+            cols[x] = perm
+            vals[x] = vals[x] + w * phase if x in vals else w * phase
+        n = len(cols)
+        ref = scipy.sparse.csr_array(
+            (np.column_stack(list(vals.values())).ravel(),
+             np.column_stack(list(cols.values())).ravel(),
+             np.arange(0, n * dim + 1, n)), shape=(dim, dim))
+        a = h.sparse()
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(a, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def assert_signed_pauli_form(x_bits, z_bits, width, sign):
