@@ -6,21 +6,26 @@
  * loop's order.  The records' states psi are updated in place; the only
  * other buffer is u, the 2m uniforms of a step.
  *
- * Each factor is a signed Pauli: (P v)[a] = f[a] v[a ^ x], and one term's
- * phase f is +-1 at every amplitude or +-i at every amplitude, so one of
- * its parts is an exact zero (pauli._index_action).  The numpy loop forms
- * cos(th) v + (i sin th) (f v[a ^ x]) with full complex products, where a
- * real cos enters as (c, 0) and the real part of i sin th is a signed zero.
- * Here only the products that can be nonzero are kept, pair (a, a ^ x) by
- * pair in place:
+ * Every factor is one kind, c I + (i s) P for a signed Pauli P with
+ * (P v)[a] = f[a] v[a ^ x]; one term's phase f is +-1 at every amplitude
+ * or +-i at every amplitude, so one of its parts is an exact zero
+ * (pauli.phase_rows).  A segment of order n is a rotation at
+ * (cos th, sin th) and then n factors i P from (i x H)^n, each the same
+ * primitive at (c, s) = (0, 1); their n factors of i are the segment's
+ * phase i^n, so no bare Pauli and no sign fix-up is needed.  The numpy
+ * loop forms c v + (i s) (f v[a ^ x]), and i (f v[a ^ x]) at (0, 1), with
+ * full complex products, where a real c enters as (c, 0) and the real
+ * part of i s is a signed zero.  Here only the products that can be
+ * nonzero are kept, pair (a, a ^ x) by pair in place:
  *   f = +-1:  v[a] <- c v[a] + s f[a] (-Im, Re) v[a ^ x]
  *   f = +-i:  v[a] <- c v[a] - s Im f[a] v[a ^ x]
  * Every dropped product is a signed zero, and every kept one differs from
- * numpy's only by an exact sign flip (a factor +-1).  So each nonzero value
- * has numpy's bits and a zero may differ in sign.  Under +, - and * the
- * sign of a zero never reaches a nonzero value, and the Hadamard test
- * u < (1 + z) / 2 reads +0 and -0 alike, so the records and the generator
- * state are the numpy loop's.  Build with -ffp-contract=off and without
+ * numpy's only by an exact sign flip (a factor +-1) or, for c v[a] at
+ * (0, 1), is itself a signed zero.  So each nonzero value has numpy's
+ * bits and a zero may differ in sign.  Under +, - and * the sign of a zero
+ * never reaches a nonzero value, and the Hadamard test u < (1 + z) / 2
+ * reads +0 and -0 alike, so the records and the generator state are the
+ * numpy loop's.  Build with -ffp-contract=off and without
  * fast-math, so no product is fused into an add.
  */
 #include <math.h>
@@ -75,33 +80,6 @@ static void rotate(double *v, int64_t dim, int64_t x, const double *f, double c,
     }
 }
 
-/* v = P v */
-static void apply(double *v, int64_t dim, int64_t x, const double *f)
-{
-    int64_t half = x ? x & -x : dim;
-    if (f[0] != 0.0) {
-        for (int64_t base = 0; base < dim; base += 2 * half)
-            for (int64_t a = base; a < base + half; a++) {
-                int64_t b = a ^ x;
-                double ar = v[2 * a], ai = v[2 * a + 1], br = v[2 * b], bi = v[2 * b + 1];
-                v[2 * a] = f[2 * a] * br;
-                v[2 * a + 1] = f[2 * a] * bi;
-                v[2 * b] = f[2 * b] * ar;
-                v[2 * b + 1] = f[2 * b] * ai;
-            }
-    } else {
-        for (int64_t base = 0; base < dim; base += 2 * half)
-            for (int64_t a = base; a < base + half; a++) {
-                int64_t b = a ^ x;
-                double ar = v[2 * a], ai = v[2 * a + 1], br = v[2 * b], bi = v[2 * b + 1];
-                v[2 * a] = -(f[2 * a + 1] * bi);
-                v[2 * a + 1] = f[2 * a + 1] * br;
-                v[2 * b] = -(f[2 * b + 1] * ai);
-                v[2 * b + 1] = f[2 * b + 1] * ar;
-            }
-    }
-}
-
 /* Advance the blk records of psi (sorted by descending r) through all their
  * segments.  A step draws m order uniforms and m term uniforms for the m
  * live records, rotates the order-0 records, then redoes the higher-order
@@ -142,11 +120,8 @@ void run_block(int64_t blk, int64_t dim, int64_t n_terms, int64_t n_orders,
             rotate(vec, dim, x_tab[el], f_tab + 2 * el * dim, cos(th), sin(th));
             for (int64_t k = 0; k < n; k++) {
                 el = search(cum_term, n_terms, next_double(state));
-                apply(vec, dim, x_tab[el], f_tab + 2 * el * dim);
+                rotate(vec, dim, x_tab[el], f_tab + 2 * el * dim, 0.0, 1.0);
             }
-            if (n % 4 != 0)
-                for (int64_t a = 0; a < 2 * dim; a++)
-                    vec[a] = -vec[a];
         }
     }
 }

@@ -2,8 +2,10 @@
 
 Subcommands: fourier, plan, sample-lcu, estimate-cdf, ground-energy,
 resource-curve.  Exit status 0 on success, 2 on validation errors, 3 on
-numeric failures.  Stochastic subcommands require --seed and log the
-seed, sample count, and plan hash in their output header.
+numeric failures, an allocation that runs out of memory among them (one
+"error (numeric): out of memory: ..." line, no traceback).  Stochastic
+subcommands require --seed and log the seed, sample count, and plan hash
+in their output header.
 """
 
 from __future__ import annotations
@@ -251,6 +253,9 @@ def run(argv=None) -> int:
         return 2
     except (RuntimeError, ArithmeticError) as exc:
         print(f"error (numeric): {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error (numeric): out of memory: {exc}", file=sys.stderr)
         return 3
 
 

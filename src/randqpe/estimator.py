@@ -194,12 +194,15 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     constant over runs of steps, one run per distinct r_i.  A step draws 2m
     uniforms (orders, then rotation terms), applies the order-0 rotation to
     the prefix and redoes the rare higher-order rows from pre-step copies,
-    each with its extra term draws in row order.
+    each with its extra term draws in row order.  Every factor is one kind,
+    c I + i s P: a row's rotation at (cos th, sin th), then each of its n
+    extra terms as i P at (0, 1), whose n factors of i are the segment's
+    phase i^n.
 
     The steps of a block run in the C kernel _steps.c, which the first call
     of a process compiles with `cc` from PATH and loads with ctypes.  It
     draws from the generator's own next_double in the numpy loop's order and
-    rotates each pair of amplitudes (a, a ^ x) of a Pauli term in place,
+    applies each factor to each pair of amplitudes (a, a ^ x) in place,
     keeping only the products of its phase's nonzero part, +-1 or +-i.  Every
     nonzero value it computes has the numpy loop's bits and only the sign
     of an exact zero may differ, which no later sum, product or Hadamard
@@ -228,12 +231,11 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     gid = rng.choice(len(pj), size=n_rec, p=pj)
     neg = rng.random(n_rec) < 0.5  # True: index -j (time +j tau lambda)
 
-    # per-term index action tables, built for this call and dropped with it
+    # per-term x masks and phase rows, built for this call and dropped with it
     dist = plan.h.normalized_distribution()
     cum_term = np.cumsum([p for p, _ in dist])
     cum_term[-1] = 1.0
     x_tab, f_tab = phase_rows([op for _, op in dist])
-    g_tab = np.arange(dim) ^ x_tab[:, None]  # g_tab[i][k] = k ^ x_i
 
     # per-group segment tables (orders share the truncation M)
     segs = [segment_distribution(float(t), int(r), plan.M)
@@ -252,8 +254,7 @@ def collect_samples(plan: Plan, state: StateVector, rng: np.random.Generator) ->
     recs = (gid_s, r_s, rot_sign, np.cos(thetas[gid_s, 0]),
             1j * np.sin(thetas[gid_s, 0]) * rot_sign,
             q_cum[gid_s, 0])  # u <= q0: order 0 (cumulative columns are sorted)
-    tables = (psi0, psi0.conj(), cum_term, x_tab, g_tab, f_tab, q_cum, thetas,
-              segs[0].orders)
+    tables = (psi0, psi0.conj(), cum_term, x_tab, f_tab, q_cum, thetas, segs[0].orders)
 
     z = np.empty(n_rec, dtype=complex)
     steps = _kernel()
@@ -326,7 +327,7 @@ def _run_block(b, rng, recs, tables, z, steps):
     the numpy loop below runs, the reference the kernel is tested against.
     """
     gid_b, r_b, sign_b, cos_b, isin_b, q0_b = (a[b] for a in recs)
-    psi0, psi0_conj, cum_term, x_tab, g_tab, f_tab, q_cum, thetas, orders = tables
+    psi0, psi0_conj, cum_term, x_tab, f_tab, q_cum, thetas, orders = tables
     n_orders, dim, blk = len(orders), psi0.size, r_b.size
     psi = np.empty((blk, dim), dtype=complex)
     psi[:] = psi0
@@ -338,7 +339,7 @@ def _run_block(b, rng, recs, tables, z, steps):
                   bitgen.ctypes.next_double, bitgen.ctypes.state_address)
         z[b] = psi @ psi0_conj
         return
-    flat, row_base = psi.reshape(-1), (np.arange(blk) * dim)[:, None]
+    ks, flat, row_base = np.arange(dim), psi.reshape(-1), (np.arange(blk) * dim)[:, None]
     idx_buf = np.empty((blk, dim), dtype=np.int64)
     phase_buf, gath_buf = np.empty((2, blk, dim), dtype=complex)
     done = 0
@@ -350,7 +351,7 @@ def _run_block(b, rng, recs, tables, z, steps):
             u = rng.random(2 * m)
             ells = np.searchsorted(cum_term, u[m:], side="right")
             hi = np.flatnonzero(u[:m] > q0_m)
-            np.take(g_tab, ells, axis=0, out=idx, mode="clip")
+            np.bitwise_xor(ks, x_tab[ells][:, None], out=idx)  # idx[i][k] = k ^ x_ells[i]
             idx += base
             np.take(flat, idx, out=gath, mode="clip")
             np.take(f_tab, ells, axis=0, out=phase, mode="clip")
@@ -364,21 +365,12 @@ def _run_block(b, rng, recs, tables, z, steps):
                 ni = n_orders - 1 - int((u[row] <= q_cum[gid_b[row], :-1]).sum())
                 n = int(orders[ni])
                 th = float(thetas[gid_b[row], ni]) * sign_b[row]
-                el0 = int(ells[row])
-                # vec = cos(th) prev + i sin(th) P prev, then the extra
-                # factors, in place with the row's gather buffer as scratch
-                vec, tmp = live[row], gath[row]
-                prev.take(g_tab[el0], out=tmp, mode="clip")
-                np.multiply(f_tab[el0], tmp, out=tmp)
-                np.multiply(1j * math.sin(th), tmp, out=tmp)
-                np.multiply(math.cos(th), prev, out=vec)
-                np.add(vec, tmp, out=vec)
-                extra = np.searchsorted(cum_term, rng.random(n), side="right")
-                for el in extra:
-                    vec.take(g_tab[el], out=tmp, mode="clip")
-                    np.multiply(f_tab[el], tmp, out=vec)
-                if n % 4 != 0:
-                    np.negative(vec, out=vec)
+                el, vec = int(ells[row]), live[row]
+                # vec = cos(th) prev + i sin(th) P prev, then n factors i P
+                np.add(math.cos(th) * prev,
+                       1j * math.sin(th) * (f_tab[el] * prev[ks ^ x_tab[el]]), out=vec)
+                for el in np.searchsorted(cum_term, rng.random(n), side="right"):
+                    np.multiply(1j, f_tab[el] * vec[ks ^ x_tab[el]], out=vec)
         done = r_end
     z[b] = psi @ psi0_conj
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
@@ -97,9 +96,9 @@ class LcuUnitary:
     def matrix(self) -> np.ndarray:
         _check_width(self.width)
         if self._draw is not None:
-            tables = _term_tables(self._draw.ops, self._draw.dist.x, self._draw.dist.M)
-            if tables is not None:
-                return self._draw.matrix(*tables)
+            table = _term_tables(self._draw.ops, self._draw.dist.x, self._draw.dist.M)
+            if table is not None:
+                return self._draw.matrix(table)
         from .backend import apply_unitary  # backend imports this module
         return apply_unitary(np.eye(1 << self.width, dtype=complex), self)
 
@@ -126,50 +125,42 @@ class LcuUnitary:
 
 
 class _Draw(NamedTuple):
-    """One sampled unitary as arrays: per segment k, an order index n_idx[k]
-    (order 2 n_idx[k]) and a rotation term rot[k]; the extra terms of all
-    higher-order segments in segment order; every angle carries sgn."""
+    """One sampled unitary as arrays, one entry per factor in application
+    order: the drawn term terms[k] and its row rows[k] of _term_tables.  A
+    segment of order 2 i is its rotation, row i, then its 2 i extra
+    factors i P, each at the last row; every angle carries sgn."""
 
     ops: tuple
     dist: SegmentDistribution
     sgn: float
-    n_idx: np.ndarray
-    rot: np.ndarray
-    extra: np.ndarray
+    rows: np.ndarray
+    terms: np.ndarray
 
     def factors(self) -> tuple:
+        """The ROT / PAULI / PHASE list: the i's of a segment's extra factors
+        become one Phase(n % 4) after them, as (i sgn(t))^n = i^n for even n."""
         ops, thetas, orders = self.ops, self.dist.thetas.tolist(), self.dist.orders.tolist()
-        extra = self.extra.tolist()
-        factors = []
-        pos = 0
-        for i, a in zip(self.n_idx.tolist(), self.rot.tolist()):
-            n = orders[i]
-            factors.append(PauliRotation(self.sgn * thetas[i], ops[a]))
-            factors.extend(PauliOp(ops[b]) for b in extra[pos:pos + n])
-            pos += n
-            if n % 4 != 0:
-                # (i sgn(t))^n = i^n for even n
+        factors, n, left = [], 0, 0
+        for i, a in zip(self.rows.tolist(), self.terms.tolist()):
+            if i < len(orders):
+                factors.append(PauliRotation(self.sgn * thetas[i], ops[a]))
+                n = left = orders[i]
+                continue
+            factors.append(PauliOp(ops[a]))
+            left -= 1
+            if left == 0 and n % 4 != 0:
                 factors.append(Phase(n % 4))
         return tuple(factors)
 
-    def matrix(self, paulis: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-        """Segment matrices from the term tables, multiplied as a pairwise tree."""
-        segs = rotations[self.n_idx, self.rot]
-        if self.extra.size:
-            pos = 0
-            for k in np.flatnonzero(self.n_idx):
-                n = 2 * int(self.n_idx[k])
-                seg = segs[k]
-                for b in self.extra[pos:pos + n]:
-                    seg = paulis[b] @ seg
-                segs[k] = (1j ** (n % 4)) * seg
-                pos += n
-        while len(segs) > 1:
-            prod = np.matmul(segs[1::2], segs[:-1:2])
-            if len(segs) % 2:
-                prod[-1] = segs[-1] @ prod[-1]
-            segs = prod
-        return segs[0]
+    def matrix(self, table: np.ndarray) -> np.ndarray:
+        """The factors' matrices from the term table, multiplied as a pairwise tree."""
+        mats = table[self.rows, self.terms]
+        while len(mats) > 1:
+            prod = np.matmul(mats[1::2], mats[:-1:2])
+            if len(mats) % 2:
+                prod[-1] = mats[-1] @ prod[-1]
+            mats = prod
+        return mats[0]
 
 
 def parse_lcu(text: str, width: int | None = None) -> LcuUnitary:
@@ -197,43 +188,38 @@ def parse_lcu(text: str, width: int | None = None) -> LcuUnitary:
     return LcuUnitary(tuple(factors), width)
 
 
-_TABLE_COUNT = 32
 _TABLE_BYTES = 1 << 20
-_TABLES: OrderedDict = OrderedDict()
+# the last (ops, x, M) _term_tables was asked for, and its table
+_table_slot: tuple = ((), None, None, None)
 
 
 def _term_tables(ops: tuple, x: float, M: int):
-    """Dense per-term tables for segments of length x: (paulis, rotations).
+    """Dense per-term factor matrices for segments of length x.
 
-    paulis[l] is the matrix of ops[l]; rotations[i, l] is
-    cos(a) I + i sin(a) ops[l] at the signed angle a = sgn(x) theta_i of
-    order 2i.  Returns None when the two tables together would pass
-    _TABLE_BYTES (1 MiB).  The oldest of more than _TABLE_COUNT (32) tables
-    is dropped, so the cache holds at most 32 MiB at any width.  Entries are
-    keyed by the identities of the operators (hashing them costs more than
-    a small matrix product) and hold the operators, so no key can be reused
-    while its entry lives.
+    table[i, l] is cos(a) I + i sin(a) ops[l] at the signed angle
+    a = sgn(x) theta_i of order 2 i, for i <= M / 2, and the last row
+    table[M / 2 + 1, l] is i ops[l], the same form at (cos, i sin) =
+    (0, i): the extra factors of a segment.  Returns None when the table
+    would pass _TABLE_BYTES (1 MiB).  One slot keeps the last table, so
+    at most 1 MiB is held at any width, and a stream of draws from one
+    (ops, x, M) builds it once; ops compares as in _check_term_widths.
     """
-    key = (tuple(map(id, ops)), x, M)
-    hit = _TABLES.get(key)
-    if hit is not None:
-        return hit[1]
-    tables = None
+    global _table_slot
+    slot = _table_slot
+    if slot[:3] == (ops, x, M):
+        return slot[3]
+    table = None
     dim, n_terms = 1 << ops[0].width, len(ops)
     if (M // 2 + 2) * n_terms * dim * dim * 16 <= _TABLE_BYTES:
         paulis = np.array([op.matrix() for op in ops])
         sgn = 1.0 if x >= 0 else -1.0
         angles = [sgn * th for th in _rotation_angles(x, M).tolist()]
-        cos = np.array([math.cos(a) for a in angles])[:, None, None, None]
-        isin = np.array([1j * math.sin(a) for a in angles])[:, None, None, None]
-        rotations = cos * np.eye(dim) + isin * paulis
-        paulis.flags.writeable = False
-        rotations.flags.writeable = False
-        tables = paulis, rotations
-    _TABLES[key] = (ops, tables)
-    if len(_TABLES) > _TABLE_COUNT:
-        _TABLES.popitem(last=False)
-    return tables
+        cos = np.array([math.cos(a) for a in angles] + [0.0])[:, None, None, None]
+        isin = np.array([1j * math.sin(a) for a in angles] + [1j])[:, None, None, None]
+        table = cos * np.eye(dim) + isin * paulis
+        table.flags.writeable = False
+    _table_slot = (ops, x, M, table)
+    return table
 
 
 def _segment_terms(x, M: int):
@@ -364,12 +350,11 @@ def sample_unitary(hhat, t: float, r: int, M: int, rng: np.random.Generator) -> 
     # accumulate adds left to right, as np.cumsum does
     cum_p = list(accumulate(probs))
     cum_p[-1] = 1.0
+    # each segment draws its rotation term, then its 2 n_idx extra terms
     terms = np.array(cum_p).searchsorted(rng.random(n_extra + r), "right")
+    rows = n_idx
     if n_extra:
-        # each segment draws its rotation term, then its 2 n_idx extra terms
         seg_len = 2 * n_idx + 1
-        starts = np.cumsum(seg_len) - seg_len
-        rot, extra = terms[starts], np.delete(terms, starts)
-    else:
-        rot, extra = terms, terms[:0]
-    return LcuUnitary._drawn(ops[0].width, _Draw(ops, dist, sgn, n_idx, rot, extra))
+        rows = np.full(n_extra + r, len(dist.orders))
+        rows[np.cumsum(seg_len) - seg_len] = n_idx
+    return LcuUnitary._drawn(ops[0].width, _Draw(ops, dist, sgn, rows, terms))

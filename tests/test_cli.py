@@ -285,6 +285,17 @@ def test_gated_infeasible_exit_3(ham_mix):
                 "--g", "1.0"]) == 3
 
 
+def test_out_of_memory_exit_3(ham_mix, capsys):
+    # r = 10^15 segments need 8 PB of uniforms, more than a 48-bit address
+    # space maps, so the first allocation fails at once
+    assert run(["sample-lcu", "--ham", ham_mix, "--t", "1.0", "--r", "1000000000000000",
+                "--M", "8", "--seed", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error (numeric): out of memory: ")
+    assert out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["1e308 0\n1e308 0\n", "1e-200 0\n1e-200 0\n"],
                          ids=["huge", "tiny"])
 def test_amplitude_file_norm_neither_overflows_nor_underflows(ham_z, tmp_path, text):

@@ -74,6 +74,38 @@ def records_and_state(plan, state, seed):
     return rec.js.tobytes() + rec.m.tobytes(), rng.bit_generator.state
 
 
+EDGE_TERMS = "0.3 III\n-0.5 ZIZ\n0.4 XYI\n-0.6 YYZ\n0.2 IZI\n0.7 XIX\n-0.45 IYI"
+
+
+def block_same_bits_on_both_paths(monkeypatch, plan, state, seed):
+    """Run the one block of collect_samples(plan, state) on both step paths
+    from one generator state: the generator states match, and so does every
+    nonzero part of z bit for bit; then so do the whole calls' records."""
+    calls, run_block = [], estimator._run_block
+
+    def recording(b, rng, *args):
+        calls.append((b, copy.deepcopy(rng), *args))
+        return run_block(b, rng, *args)
+
+    monkeypatch.setattr(estimator, "_run_block", recording)
+    kernel = records_and_state(plan, state, seed)
+    (b, rng, recs, tables, z, steps), = calls
+    out = []
+    for path in (steps, None):
+        gen, z_path = copy.deepcopy(rng), np.empty_like(z)
+        run_block(b, gen, recs, tables, z_path, path)
+        out.append((z_path, gen.bit_generator.state))
+    (z_kernel, state_kernel), (z_numpy, state_numpy) = out
+    assert state_kernel == state_numpy
+    assert np.array_equal(z_kernel, z_numpy)  # elementwise: +0 == -0
+    for part_kernel, part_numpy in ((z_kernel.real, z_numpy.real),
+                                    (z_kernel.imag, z_numpy.imag)):
+        nonzero = part_numpy != 0
+        assert part_kernel[nonzero].tobytes() == part_numpy[nonzero].tobytes()
+    monkeypatch.setattr(estimator, "_steps", None)
+    assert records_and_state(plan, state, seed) == kernel
+
+
 def budget_for_fifths(monkeypatch, plan, state):
     """Shrink the block budget so that a block holds a fifth of the records."""
     rows = plan.complexities.c_sample // 5
@@ -383,33 +415,24 @@ class TestStepKernel:
     def test_edge_operators_on_basis_states_same_bits_on_both_paths(self, monkeypatch, basis):
         # identity and pure-Z terms (x = 0), Y-bearing terms (phase +-i) and
         # negative signs, on a state with exact zeros
-        h = rq.parse_hamiltonian("0.3 III\n-0.5 ZIZ\n0.4 XYI\n-0.6 YYZ\n0.2 IZI\n"
-                                 "0.7 XIX\n-0.45 IYI")
+        h = rq.parse_hamiltonian(EDGE_TERMS)
         s = backend.prepare_state("basis:" + basis)
+        block_same_bits_on_both_paths(monkeypatch, small_plan(h), s, 23)
+
+    def test_orders_4_and_8_same_bits_on_both_paths(self, monkeypatch):
+        # at t/r near 3 orders 4 and 8 are common: their extra factors' i's
+        # multiply to +1, where orders 2 and 6 end with a factor -1
+        h = rq.parse_hamiltonian(EDGE_TERMS)
         plan = small_plan(h)
-        calls, run_block = [], estimator._run_block
-
-        def recording(b, rng, *args):
-            calls.append((b, copy.deepcopy(rng), *args))
-            return run_block(b, rng, *args)
-
-        monkeypatch.setattr(estimator, "_run_block", recording)
-        kernel = records_and_state(plan, s, 23)
-        (b, rng, recs, tables, z, steps), = calls
-        out = []
-        for path in (steps, None):
-            gen, z_path = copy.deepcopy(rng), np.empty_like(z)
-            run_block(b, gen, recs, tables, z_path, path)
-            out.append((z_path, gen.bit_generator.state))
-        (z_kernel, state_kernel), (z_numpy, state_numpy) = out
-        assert state_kernel == state_numpy
-        assert np.array_equal(z_kernel, z_numpy)  # elementwise: +0 == -0
-        for part_kernel, part_numpy in ((z_kernel.real, z_numpy.real),
-                                        (z_kernel.imag, z_numpy.imag)):
-            nonzero = part_numpy != 0
-            assert part_kernel[nonzero].tobytes() == part_numpy[nonzero].tobytes()
-        monkeypatch.setattr(estimator, "_steps", None)
-        assert records_and_state(plan, s, 23) == kernel
+        rvec = np.maximum(1, np.rint(np.abs(plan.times) / 3)).astype(np.int64)
+        plan = dataclasses.replace(plan, rvec=rvec, mu=rq.runtime.mu_vector(
+            plan.times, rvec, plan.M, exact=True))
+        p = plan.weights * plan.mu
+        probs = np.array([rq.segment_distribution(float(t), int(r), plan.M).probs
+                          for t, r in zip(plan.times, plan.rvec)])
+        segments = plan.complexities.c_sample * (p * plan.rvec) @ probs / p.sum()
+        assert segments[2] > 100 and segments[4] > 10, segments  # orders 4 and 8
+        block_same_bits_on_both_paths(monkeypatch, plan, backend.prepare_state("basis:101"), 29)
 
 
 class TestAcdf:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -217,18 +218,22 @@ class TestDrawnUnitary:
         h = random_hamiltonian(width, min(3 * width, 6), seed=80 + width)
         hhat = h.normalized_distribution()
         eye = np.eye(1 << width, dtype=complex)
-        higher = 0
-        # odd r leaves one segment over at some level of the product tree
-        for t, r in ((-2.0, 8), (1.3, 4), (-1.5, 5), (0.7, 3)):
+        higher = quarter = 0
+        # odd r leaves one segment over at some level of the product tree;
+        # t/r = 3 draws orders 4 and 8, whose extra factors' i's make +1
+        for t, r in ((-2.0, 8), (1.3, 4), (-1.5, 5), (0.7, 3), (3.0, 1)):
             rng = derive_rng(0x5B, 10 * width + r)
             for _ in range(40):
                 u = lcu.sample_unitary(hhat, t, r, 8, rng)
                 m = u.matrix()
                 higher += any(isinstance(f, lcu.PauliOp) for f in u.factors)
+                runs = [len(list(g)) for extra, g in itertools.groupby(
+                    u.factors, lambda f: isinstance(f, lcu.PauliOp)) if extra]
+                quarter += sum(n % 4 == 0 for n in runs)
                 np.testing.assert_allclose(m, _dense_product(u), rtol=0, atol=1e-12)
                 applied = np.column_stack([backend.apply_unitary(e, u) for e in eye])
                 np.testing.assert_allclose(m, applied, rtol=0, atol=1e-12)
-        assert higher >= 5
+        assert higher >= 5 and quarter >= 5
 
     def test_matrix_past_table_bound(self):
         # 6 qubits, 4 terms, M = 8: the per-term tables would take 1.5 MiB,
