@@ -92,9 +92,12 @@ def _window(lam: float, Delta: float, b: float, eps: float, delta_scale: float =
     tau = math.pi / (2.0 * lam / b + Delta)
     delta = delta_scale * tau * Delta
     series = build_fourier(optimize_split(delta, eps))
-    js = 2 * np.arange(series.d + 1, dtype=np.int64) + 1
-    times, weights = -js * tau * lam, 2.0 * series.odd_abs
-    return tau, delta, series, js, times, weights
+    js = np.arange(series.d + 1, dtype=np.int64)
+    js *= 2
+    js += 1
+    times = np.multiply(np.negative(js), tau)
+    times *= lam
+    return tau, delta, series, js, times, 2.0 * series.odd_abs
 
 
 @dataclass(frozen=True)

@@ -186,11 +186,15 @@ def build_fourier(params: ApproxParams) -> FourierSeries:
     """
     beta, d = params.beta, params.d
     iv = specfun.bessel_i_scaled_sequence(d, beta)
-    num = np.empty(d + 1)
-    num[:d] = iv[:d] + iv[1:d + 1]
-    num[d] = iv[d]
-    k = 2.0 * np.arange(d + 1) + 1.0
-    odd_abs = math.sqrt(beta / (2.0 * math.pi)) * num / k
+    odd_abs = np.empty(d + 1)
+    np.add(iv[:d], iv[1:d + 1], out=odd_abs[:d])
+    odd_abs[d] = iv[d]
+    del iv  # at most two arrays of length d + 1 are alive at a time
+    k = np.arange(d + 1, dtype=float)
+    k *= 2.0
+    k += 1.0
+    odd_abs *= math.sqrt(beta / (2.0 * math.pi))
+    odd_abs /= k
     return FourierSeries(beta=beta, d=d, odd_abs=odd_abs, params=params)
 
 

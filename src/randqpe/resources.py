@@ -78,7 +78,7 @@ def ground_search_multiplier(xi: float, tau_lambda: float, delta: float) -> floa
 
 def _curve_for_eps(lam: float, Delta: float, eta: float, eps: float, b: float,
                    g_grid, n_grid: int):
-    *_, times, weights = _window(lam, Delta, b, eps)
+    times, weights = _window(lam, Delta, b, eps)[-2:]  # the filter and js are dropped
     problem = runtime.Problem(weights, times)  # one memo of S for the sweep
     margin = eta / 2.0 - eps
 
@@ -93,6 +93,7 @@ def _curve_for_eps(lam: float, Delta: float, eta: float, eps: float, b: float,
 
     r_opt = runtime.minimize_total(weights, times, problem=problem)
     opt = point(r_opt, g_target=float("nan"), optimal=True)
+    del r_opt  # each runtime vector is dropped once priced
     points = [opt]
     if g_grid is None:
         floor = runtime.gate_floor(weights, times, problem=problem)
@@ -109,6 +110,7 @@ def _curve_for_eps(lam: float, Delta: float, eta: float, eps: float, b: float,
                                         note=str(exc)))
             continue
         points.append(point(rv, g_target=float(g), optimal=False))
+        del rv
     return points
 
 

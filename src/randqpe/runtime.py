@@ -6,16 +6,18 @@ All operations work on parallel arrays over the sampled Fourier indices
 weight bound u_j = exp(t_j^2 / r_j); results are rounded to integers and
 reported with exact truncated weights on request.  The optimizers evaluate
 the expected gate count S(r) through one evaluator per call, `_Gates`,
-and hand it to their brentq objectives through args=.  What does not depend
-on s (validation, t^2, the leaf plan, the clamp heads, the memo of S by s)
-is a `Problem`, which `_Gates` reads in place.  A public solve without
-problem= builds its own and shares nothing with other calls; a trade-off
-curve holds one Problem for its sweep and passes it to every solve.  Inside
-a public call, `_Gates` runs the leaves of each S on the calling thread
-and, for a problem of more than one leaf, on the one thread of an executor
-that lives as long as the call.  The walk that rounds the optimal vector
-also yields A = sum w u and c_gate = S(r), which `Problem.cost` hands to
-the callers that price the vector.
+and hand it to their root-finder objectives through args=.  The root
+finder, `_brentq`, is scipy's brentq step for step, so that no run loads
+scipy.optimize.  What does not depend on s (validation, t^2, the leaf
+plan, the clamp heads, the memo of S by s) is a `Problem`, which `_Gates`
+reads in place.  A public solve without problem= builds its own and shares
+nothing with other calls; a trade-off curve holds one Problem for its sweep
+and passes it to every solve.  Inside a public call, `_Gates` runs the
+leaves of each S on the calling thread and, for a problem of more than one
+leaf, on the one thread of an executor that lives as long as the call.
+The walk that rounds the optimal vector also yields A = sum w u and
+c_gate = S(r), which `Problem.cost` hands to the callers that price the
+vector.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .lcu import segment_weight
 
@@ -267,6 +268,7 @@ class _Gates:
         casts them as r.astype(float) would.
         """
         t = self.prob.t
+        self.prob.last = None  # replaced below; the problem keeps one vector
         r = np.empty(t.size, dtype=np.int64)
 
         def r_leaf(lo, hi, rb, ub):
@@ -323,8 +325,66 @@ class _Gates:
         return a, float(u.sum())
 
 
-# brentq wraps its objective in a closure that references itself; module-level
-# objectives with state in args= keep that cycle from holding arrays until gc
+def _brentq(f, xa: float, xb: float, args=(), xtol: float = 2e-12,
+            rtol: float = 8.881784197001252e-16, maxiter: int = 100) -> float:
+    """Root of f(x, *args) in [xa, xb] by scipy.optimize.brentq's steps.
+
+    A line-for-line port of scipy's brentq.c: the same evaluations in the
+    same order, so the same root to the bit, and the same errors, a
+    ValueError for a NaN value or no sign change and a RuntimeError past
+    maxiter.  Where a step's denominator is 0, C divides to inf or NaN,
+    fails the step test and bisects; here the ZeroDivisionError bisects.
+    """
+    def call(x):
+        fx = float(f(x, *args))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisects unless the step test below passes
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        bound = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # C's MIN
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+# objectives are module-level functions with their state in args=, so a
+# solve builds no closure and nothing it allocates waits for cyclic gc
 def _gap(s, gates):
     return gates.at(s) - s
 
@@ -363,7 +423,7 @@ def _fixed_point(gates) -> float:
     hi = 2.0 * tmax2 * (1.0 + 1e-9)
     if _gap(hi, gates) > 0.0:
         return hi
-    return brentq(_gap, lo, hi, args=(gates,), rtol=1e-14, maxiter=200)
+    return _brentq(_gap, lo, hi, args=(gates,), rtol=1e-14, maxiter=200)
 
 
 def gate_floor(weights, times, *, problem: Problem | None = None) -> float:
@@ -378,7 +438,7 @@ def minimize_samples(weights, times, g: float, *,
 
     The Lagrange condition yields the same one-parameter family as the
     total-complexity problem, with the multiplier entering through
-    s = 1/lambda - g; S(R(s)) = g is solved by brentq in ln(s - s_min), in
+    s = 1/lambda - g; S(R(s)) = g is solved by Brent's method in ln(s - s_min), in
     which S is close to linear.  Entries are clamped to max(1, |t_j|) so
     truncation bounds stay applicable, and rounded with a relative slack of
     1% on g, retrying at 2% lower targets; a failed retry at s_min is final.
@@ -406,13 +466,14 @@ def minimize_samples(weights, times, g: float, *,
                     if gates.at_ln(y_hi, s_min) >= target:
                         break
                     hi *= 2.0
-                s_star = s_min + math.exp(brentq(
+                s_star = s_min + math.exp(_brentq(
                     _gap_in_ln, *_bracket(gates, target, y_hi),
                     args=(gates, s_min, target), xtol=1e-15, rtol=1e-15, maxiter=200))
             r, c_gate = gates.rounded(s_star)
             feasible = c_gate <= g_cap
             if feasible or floor >= target:  # past the floor every retry repeats s_min
                 break
+            del r  # a retry rounds a new vector; two would be alive at once
             target *= 0.98
     if not feasible:
         raise FeasibilityError("rounding could not satisfy the gate budget")

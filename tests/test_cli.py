@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import randqpe
 from randqpe import estimator
 from randqpe._rng import derive_rng
 from randqpe.backend import prepare_state
@@ -294,6 +298,28 @@ def test_out_of_memory_exit_3(ham_mix, capsys):
     assert out.out == ""
     assert out.err.startswith("error (numeric): out of memory: ")
     assert out.err.count("\n") == 1
+
+
+def test_no_run_loads_scipy_optimize(ham_z):
+    # a fresh interpreter: this one has scipy.optimize loaded by the tests
+    code = f"""
+import io, sys
+from contextlib import redirect_stdout
+import randqpe.cli
+with redirect_stdout(io.StringIO()):
+    codes = [randqpe.cli.run(["resource-curve", "--lambda", "4.0", "--Delta", "1.0",
+                              "--eta", "1", "--eps", "0.2", "--ngrid", "5"]),
+             randqpe.cli.run(["ground-energy", "--ham", {ham_z!r}, "--state", "basis:1",
+                              "--Delta", "0.1", "--eta", "1", "--xi", "0.1", "--seed", "7"])]
+print(codes, "scipy.optimize" in sys.modules)
+"""
+    src = str(Path(randqpe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0] False\n"
 
 
 @pytest.mark.parametrize("text", ["1e308 0\n1e308 0\n", "1e-200 0\n1e-200 0\n"],

@@ -231,3 +231,17 @@ def test_degree_cap_applies_to_the_chosen_split(monkeypatch):
     with pytest.raises(ValueError, match="filter degree d = 39 exceeds the cap 38"):
         heaviside.optimize_split(0.05, 0.1)
     heaviside.optimize_split.cache_clear()
+
+
+@pytest.mark.parametrize("delta, eps", [(0.3, 0.1), (1e-4, 0.1), (6e-5, 0.1)])
+def test_build_fourier_has_the_bits_of_the_whole_array_expression(delta, eps):
+    # the scipy regime, d = 17,728, and the closed-form regime, d = 29,544
+    params = heaviside.optimize_split(delta, eps)
+    beta, d = params.beta, params.d
+    iv = specfun.bessel_i_scaled_sequence(d, beta)
+    num = np.empty(d + 1)
+    num[:d] = iv[:d] + iv[1:d + 1]
+    num[d] = iv[d]
+    want = math.sqrt(beta / (2.0 * math.pi)) * num / (2.0 * np.arange(d + 1) + 1.0)
+    got = heaviside.build_fourier(params).odd_abs
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()

@@ -129,8 +129,8 @@ def test_curve_optimum_matches_build_plan(b):
 
 
 def test_curve_retains_nothing_without_cyclic_gc():
-    # brentq wraps its objective in a self-referencing closure; nothing the
-    # runtime solves allocate may stay reachable from that cycle
+    # nothing the filter build and the runtime solves allocate may stay
+    # reachable from a reference cycle that only cyclic gc would free
     *_, times, _ = estimator._window(1511.0, 0.16, 1.0, 0.2)
     resources.tradeoff_curve(1511.0, 0.16, 1.0, [0.2], n_grid=10)
     gc.collect()
@@ -144,3 +144,28 @@ def test_curve_retains_nothing_without_cyclic_gc():
         tracemalloc.stop()
         gc.enable()
     assert left <= 2 * times.nbytes
+
+
+def test_heavy_curve_peak_memory_is_bounded():
+    # the heavy-molecule curve keeps times, weights, t^2, t^2/2 and one
+    # runtime vector alive at a time (5 arrays of length d + 1, plus the
+    # leaf buffers); no filter, index array or priced vector stays behind
+    lam, Delta, eps = 1511.0, 0.0016, 0.2
+    d = estimator._window(lam, Delta, 1.0, eps)[2].d
+    gc.collect()
+    tracemalloc.start()
+    try:
+        resources.tradeoff_curve(lam, Delta, 1.0, [eps], n_grid=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * (d + 1)
+
+
+@pytest.mark.parametrize("lam, Delta, b", [(1511.0, 0.16, 1.0), (3.7, 0.9, 2.5)])
+def test_window_arrays_have_the_bits_of_the_whole_array_expressions(lam, Delta, b):
+    tau, _, series, js, times, weights = estimator._window(lam, Delta, b, 0.2)
+    want_js = 2 * np.arange(series.d + 1, dtype=np.int64) + 1
+    np.testing.assert_array_equal(js, want_js)
+    assert times.view(np.uint64).tolist() == (-want_js * tau * lam).view(np.uint64).tolist()
+    assert weights.view(np.uint64).tolist() == (2.0 * series.odd_abs).view(np.uint64).tolist()

@@ -17,6 +17,81 @@ def random_instance(rng, n=6, fmax=1.0, tmax=4.0):
     return w, t
 
 
+# (xtol, rtol, maxiter) of minimize_total's and minimize_samples' root
+# solves, and scipy's defaults, which _brentq shares
+BRENTQ_TOLERANCES = [
+    dict(rtol=1e-14, maxiter=200),
+    dict(xtol=1e-15, rtol=1e-15, maxiter=200),
+    dict(),
+]
+
+BRENTQ_FUNCTIONS = [
+    lambda x: math.exp(x) - 2.0,
+    lambda x: x ** 3 - 2.0 * x - 5.0,
+    lambda x: math.tanh(x - 0.3),
+    lambda x: math.cos(x) - x,
+    lambda x: (x - 1.0) ** 5,  # a root of order 5: many bisections
+    lambda x: math.atan(1e3 * (x - 0.1)) + 1e-3 * x,  # a near-step
+]
+
+
+def _root_and_path(solver, f, a, b, **kw):
+    """(root or error type, every x the solver evaluated f at, in order)."""
+    seen = []
+    try:
+        root = solver(lambda x, out: out.append(x) or f(x), a, b, args=(seen,), **kw)
+    except (ValueError, RuntimeError) as exc:
+        root = type(exc)
+    return root, seen
+
+
+class TestBrentqPort:
+    @pytest.mark.parametrize("k", range(len(BRENTQ_FUNCTIONS)))
+    def test_same_root_bits_and_steps_as_scipy(self, k):
+        f, rng = BRENTQ_FUNCTIONS[k], np.random.default_rng(k)
+        for a, b in np.sort(rng.uniform(-6.0, 6.0, (200, 2)), axis=1).tolist():
+            for kw in BRENTQ_TOLERANCES:
+                want, want_path = _root_and_path(brentq, f, a, b, **kw)
+                got, path = _root_and_path(runtime._brentq, f, a, b, **kw)
+                assert path == want_path
+                if isinstance(want, float):
+                    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+                else:
+                    assert got is want
+
+    def test_zero_at_an_end_is_returned(self):
+        for a, b in ((1.0, 3.0), (-2.0, 1.0)):
+            assert runtime._brentq(lambda x: x - 1.0, a, b) == brentq(lambda x: x - 1.0, a, b)
+
+    def test_zero_denominator_bisects_as_scipy(self):
+        # at values near 1e-150 the product of three value differences in
+        # each extrapolation step's denominator underflows to exactly 0: C
+        # divides to inf or NaN and bisects, and so must the port, which
+        # then evaluates f at more points than on the unscaled cubic
+        cubic = BRENTQ_FUNCTIONS[1]
+        paths = []
+        for scale in (1.0, 1e-150):
+            want, want_path = _root_and_path(brentq, lambda x: scale * cubic(x), -1.0, 4.0,
+                                             **BRENTQ_TOLERANCES[0])
+            got, path = _root_and_path(runtime._brentq, lambda x: scale * cubic(x), -1.0, 4.0,
+                                       **BRENTQ_TOLERANCES[0])
+            assert got == want and path == want_path
+            paths.append(path)
+        assert len(paths[1]) > len(paths[0])
+
+    @pytest.mark.parametrize("f, a, b, kw, error, match", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError, "different signs"),
+        (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, {}, ValueError, "NaN"),
+        (lambda x: math.exp(x) - 2.0, -5.0, 5.0, dict(maxiter=3), RuntimeError,
+         "Failed to converge after 3 iterations"),
+    ])
+    def test_same_errors_as_scipy(self, f, a, b, kw, error, match):
+        with pytest.raises(error, match=match):
+            brentq(f, a, b, **kw)
+        with pytest.raises(error, match=match):
+            runtime._brentq(f, a, b, **kw)
+
+
 class TestConstantWeight:
     def test_ceiling(self):
         np.testing.assert_array_equal(runtime.constant_weight([2.5]), [13])

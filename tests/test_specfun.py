@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,46 @@ class TestBessel:
             specfun.bessel_i_scaled(0, 0.0)
         with pytest.raises(ValueError):
             specfun.bessel_i_scaled(-1, 1.0)
+
+
+def ive_uniform_whole_array(nmax: int, beta: float) -> np.ndarray:
+    """The closed form over all orders at once, as one whole-array expression."""
+    nu = np.arange(nmax + 1).astype(float)
+    x = nu / beta
+    q = np.hypot(x, 1.0)
+    p2 = (x / q) * (x / q)
+    inv = 1.0 / (beta * q)
+    corr = 1.0 + inv * ((3.0 - 5.0 * p2) / 24.0
+                        + inv * (81.0 - 462.0 * p2 + 385.0 * p2 * p2) / 1152.0)
+    return np.exp(nu * (x / (q + 1.0) - np.arcsinh(x))) * corr * np.sqrt(inv / (2.0 * math.pi))
+
+
+class TestBesselSequenceBlocks:
+    @pytest.mark.parametrize("nmax", [0, 1, specfun._UNIFORM_BLOCK - 1, specfun._UNIFORM_BLOCK,
+                                      specfun._UNIFORM_BLOCK + 1, 3 * specfun._UNIFORM_BLOCK + 5])
+    @pytest.mark.parametrize("beta", [1.0001e8, 1.6e11])
+    def test_closed_form_has_the_bits_of_the_whole_array_expression(self, nmax, beta):
+        # every order on both sides of every block boundary
+        got = specfun.bessel_i_scaled_sequence(nmax, beta)
+        want = ive_uniform_whole_array(nmax, beta)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("beta", [2.0, 5e7])
+    def test_scipy_regime_has_the_bits_of_ive(self, beta):
+        got = specfun.bessel_i_scaled_sequence(3 * specfun._UNIFORM_BLOCK + 5, beta)
+        want = sp.ive(np.arange(3 * specfun._UNIFORM_BLOCK + 6), beta)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_closed_form_peak_memory_is_at_most_two_results(self):
+        # the heavy-molecule degree: the result and one block's scratch
+        nmax, beta = 749_048, 1.6e11
+        tracemalloc.start()
+        try:
+            out = specfun.bessel_i_scaled_sequence(nmax, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes
 
 
 class TestLambertW:
